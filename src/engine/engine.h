@@ -1,5 +1,6 @@
 // Umbrella header for the concurrent query engine: graph registry,
-// admission-controlled executor, result cache, and stats. See
+// admission-controlled executor, result cache, stats, and the status
+// table (the one error taxonomy). See
 // docs/ENGINE.md for the architecture.
 #pragma once
 
@@ -9,3 +10,4 @@
 #include "engine/registry.h"
 #include "engine/result_cache.h"
 #include "engine/stats.h"
+#include "engine/status.h"

@@ -38,6 +38,49 @@ std::function<void()> poll_of(const cancel_token& token) {
   return [token] { token.poll(); };
 }
 
+// The typed error for a tripped token: deadline or caller cancel.
+std::exception_ptr stop_error(const cancel_token& token, const char* when) {
+  return token.deadline_exceeded()
+             ? make_error(query_status::deadline,
+                          std::string("query deadline exceeded ") + when)
+             : make_error(query_status::cancelled,
+                          std::string("query cancelled ") + when);
+}
+
+// Runs `fn` as a query body; returns what it threw (null on success). The
+// trace and the dispatcher's round scratch are installed *inside* the body
+// closure: with `on_pool` the body runs on a pool worker thread, and that
+// is where edge_map must see them (query bodies execute whole on one
+// worker — run_on_pool injects the closure, it does not split it). The
+// scratch is owned by the dispatcher, which runs one body at a time, so
+// consecutive queries through the same dispatcher reuse warmed buffers;
+// the scope nests, so a body injected onto a worker that is mid-join in
+// another query never sees that query's scratch. The trace installed is
+// the *effective* one (caller's or executor-armed), and the trace id rides
+// along so log lines fired inside the body correlate.
+template <class F>
+std::exception_ptr run_body(obs::query_trace* trace, const obs::trace_id& tid,
+                            edge_map_scratch* scratch, bool on_pool, F&& fn) {
+  std::exception_ptr err;
+  auto body = [&]() noexcept {
+    obs::trace_scope tracing(trace);
+    obs::trace_id_scope id_scope(tid);
+    edge_map_scratch_scope scratch_scope(scratch);
+    obs::span_scope span("execute");
+    try {
+      fn();
+    } catch (...) {
+      err = std::current_exception();
+    }
+  };
+  if (on_pool) {
+    parallel::run_on_pool(body);
+  } else {
+    body();
+  }
+  return err;
+}
+
 }  // namespace
 
 query_executor::query_executor(registry& graphs, executor_options opts)
@@ -185,27 +228,22 @@ bool query_executor::draw_sample() {
   return u < opts_.trace_sample_rate;
 }
 
-void query_executor::observe_done(const obs::trace_id& tid,
-                                  const query_request& req, bool sampled,
-                                  obs::query_trace* trace, uint64_t epoch,
-                                  double queued_micros, const char* outcome,
-                                  double exec_micros, const query_result* r,
-                                  const std::string& error,
-                                  uint32_t retry_after_ms, uint64_t batch_id,
-                                  uint32_t batch_width) {
+void query_executor::observe_done(const job& j, const outcome& o,
+                                  double exec_micros, const query_result* r) {
   if (!observing()) return;
-  const size_t rounds = trace != nullptr ? trace->rounds().size() : 0;
+  const char* name = status_name(o.status);
+  const size_t rounds = j.trace != nullptr ? j.trace->rounds().size() : 0;
   if (opts_.flightrec != nullptr) {
     obs::flight_entry e;
-    e.id = tid;
-    e.set_kind(query_kind_name(req.kind));
-    e.set_graph(req.graph);
-    e.set_outcome(outcome);
-    e.epoch = epoch;
-    e.queued_micros = queued_micros;
+    e.id = j.tid;
+    e.set_kind(query_kind_name(j.req.kind));
+    e.set_graph(j.req.graph);
+    e.set_outcome(name);
+    e.epoch = j.epoch;
+    e.queued_micros = j.queued_micros;
     e.exec_micros = exec_micros;
     e.rounds = static_cast<uint32_t>(rounds);
-    e.retry_after_ms = retry_after_ms;
+    e.retry_after_ms = o.retry_after_ms;
     if (r != nullptr) {
       // Approximate wire size of the answer (net/protocol.h response body).
       e.result_bytes = 8 + 12 * r->topk.size();
@@ -216,31 +254,80 @@ void query_executor::observe_done(const obs::trace_id& tid,
   if (opts_.traces == nullptr) return;
   // Retention rules (docs/OBSERVABILITY.md): sampled queries always; every
   // non-ok outcome always; slow queries always.
-  const bool is_ok = error.empty() && std::string_view(outcome) == "ok";
   const bool slow =
       opts_.slow_trace_micros > 0 &&
       exec_micros >= static_cast<double>(opts_.slow_trace_micros);
-  if (!sampled && is_ok && !slow) return;
+  if (!j.sampled && o.status == query_status::ok && !slow) return;
   obs::trace_record rec;
-  rec.id = tid;
-  rec.kind = query_kind_name(req.kind);
-  rec.graph = req.graph;
-  rec.outcome = outcome;
-  rec.sampled = sampled;
+  rec.id = j.tid;
+  rec.kind = query_kind_name(j.req.kind);
+  rec.graph = j.req.graph;
+  rec.outcome = name;
+  rec.sampled = j.sampled;
   rec.cache_hit = r != nullptr && r->cache_hit;
-  rec.epoch = epoch;
-  rec.queued_micros = queued_micros;
+  rec.epoch = j.epoch;
+  rec.queued_micros = j.queued_micros;
   rec.exec_micros = exec_micros;
-  rec.retry_after_ms = retry_after_ms;
+  rec.retry_after_ms = o.retry_after_ms;
   rec.rounds = rounds;
-  rec.batch_id = batch_id;
-  rec.batch_width = batch_width;
-  rec.error = error;
-  if (trace != nullptr) rec.trace_json = trace->to_json();
+  rec.batch_id = j.batch_id;
+  rec.batch_width = j.batch_width;
+  rec.error = o.message;
+  if (j.trace != nullptr) rec.trace_json = j.trace->to_json();
   opts_.traces->insert(std::move(rec));
 }
 
-std::future<query_result> query_executor::submit(query_request req) {
+void query_executor::observe_refusal(query_request req, const outcome& o) {
+  if (!observing()) return;
+  job j;
+  j.req = std::move(req);
+  j.tid = j.req.tid;
+  j.sampled = j.req.sampled;
+  observe_done(j, o, 0.0, nullptr);
+}
+
+void query_executor::finish(job& j, double exec_micros, query_result* r,
+                            std::exception_ptr err) {
+  j.finished = true;
+  if (j.settled.exchange(true)) {
+    // Late outcome: the watchdog already delivered (and counted)
+    // deadline_exceeded. Retained with the body's real cost — exactly the
+    // query a post-mortem wants to see (what was still burning CPU after
+    // its deadline), with every round the body ran.
+    observe_done(j,
+                 {query_status::deadline,
+                  "query deadline exceeded (watchdog): late result discarded"},
+                 exec_micros, nullptr);
+    return;
+  }
+  const outcome o = r != nullptr ? outcome{} : classify(err);
+  if (r != nullptr) {
+    r->micros = exec_micros;
+    r->tid = j.tid;
+    if (!r->cache_hit) {
+      if (j.cacheable) {
+        // Inserted before the promise is fulfilled: a caller that observes
+        // its result and immediately resubmits the same key must hit.
+        try {
+          cache_.put(j.key, std::make_shared<query_result>(*r));
+        } catch (...) {
+          // Cache insertion failure (failpoint or allocation) never fails a
+          // completed query — the answer still goes out, just uncached.
+        }
+      }
+      stats_.record_latency(j.req.kind, exec_micros);
+    }
+  }
+  stats_.record(o.status);
+  observe_done(j, o, exec_micros, r);
+  if (r != nullptr) {
+    j.promise.set_value(std::move(*r));
+  } else {
+    j.promise.set_exception(std::move(err));
+  }
+}
+
+query_executor::job_ptr query_executor::make_job(query_request req) {
   stats_.record_submitted();
   auto j = std::make_shared<job>();
   j->req = std::move(req);
@@ -251,19 +338,13 @@ std::future<query_result> query_executor::submit(query_request req) {
   if (observing() && !j->req.tid.valid()) j->req.tid = obs::trace_id::mint();
   j->tid = j->req.tid;
   j->sampled = j->req.sampled || (observing() && draw_sample());
-  // Log lines fired from the submission path carry the query's id.
-  obs::trace_id_scope id_scope(j->tid);
-  std::future<query_result> fut = j->promise.get_future();
 
   j->handle = registry_.try_get(j->req.graph);
   if (!j->handle) {
-    stats_.record_failed();
-    const std::string msg =
-        "no graph named '" + j->req.graph + "' is registered";
-    observe_done(j->tid, j->req, j->sampled, nullptr, 0, 0.0, "not_found", 0.0,
-                 nullptr, msg, 0);
-    j->promise.set_exception(std::make_exception_ptr(not_found_error(msg)));
-    return fut;
+    finish(*j, 0.0, nullptr,
+           make_error(query_status::not_found,
+                      "no graph named '" + j->req.graph + "' is registered"));
+    return j;
   }
   j->epoch = j->handle->epoch();
 
@@ -271,17 +352,12 @@ std::future<query_result> query_executor::submit(query_request req) {
                  j->req.kind != query_kind::update && cache_.capacity() > 0 &&
                  j->req.trace == nullptr;
   if (j->cacheable) {
-    j->key = make_key(j->req, j->handle->epoch());
+    j->key = make_key(j->req, j->epoch);
     if (auto cached = cache_.get(j->key)) {
       query_result r = *cached;
       r.cache_hit = true;
-      r.micros = 0.0;
-      r.tid = j->tid;
-      stats_.record_completed();
-      observe_done(j->tid, j->req, j->sampled, nullptr, j->epoch, 0.0, "ok",
-                   0.0, &r, "", 0);
-      j->promise.set_value(std::move(r));
-      return fut;
+      finish(*j, 0.0, &r);
+      return j;
     }
   }
 
@@ -318,68 +394,73 @@ std::future<query_result> query_executor::submit(query_request req) {
       j->deadline_at != std::chrono::steady_clock::time_point::max()) {
     j->source = cancel_source(j->req.token, j->deadline_at);
     j->token = j->source.token();
-    j->has_source = true;
   }
+  return j;
+}
 
+std::future<query_result> query_executor::submit(query_request req) {
+  job_ptr j = make_job(std::move(req));
+  std::future<query_result> fut = j->promise.get_future();
+  if (j->finished) return fut;  // unknown graph or cache hit
+  // Log lines fired from the admission path carry the query's id.
+  obs::trace_id_scope id_scope(j->tid);
+
+  std::exception_ptr refusal;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (opts_.shed_watermark > 0 && queue_.size() >= opts_.shed_watermark &&
         j->req.priority == query_priority::low) {
-      stats_.record_shed();
       // Advice scales with how far past the watermark the queue is: the
       // deeper the backlog, the longer the caller should stay away.
       auto over = queue_.size() - opts_.shed_watermark + 1;
-      auto advice = std::chrono::milliseconds(
+      const auto advice_ms = static_cast<uint32_t>(
           std::min<uint64_t>(1000, 20 * static_cast<uint64_t>(over)));
-      const std::string msg =
+      refusal = make_error(
+          query_status::shed,
           "load shedding active (" + std::to_string(queue_.size()) +
-          " pending >= watermark " + std::to_string(opts_.shed_watermark) +
-          "); low-priority query shed";
-      const auto advice_ms = static_cast<uint32_t>(advice.count());
-      observe_done(j->tid, j->req, j->sampled, nullptr, j->epoch, 0.0, "shed",
-                   0.0, nullptr, msg, advice_ms);
+              " pending >= watermark " + std::to_string(opts_.shed_watermark) +
+              "); low-priority query shed",
+          advice_ms);
       if (observing())
         obs::log_warn("engine", "query shed",
                       {{"kind", query_kind_name(j->req.kind)},
                        {"graph", j->req.graph},
                        {"queue_depth", queue_.size()},
                        {"retry_after_ms", advice_ms}});
-      throw shed_error(msg, advice);
-    }
-    if (draining_) {
-      stats_.record_rejected();
-      const std::string msg = "executor draining; no new queries admitted";
-      observe_done(j->tid, j->req, j->sampled, nullptr, j->epoch, 0.0,
-                   "rejected", 0.0, nullptr, msg, 1000);
-      throw rejected_error(msg, std::chrono::milliseconds(1000));
-    }
-    if (queue_.size() >= opts_.max_queue) {
-      stats_.record_rejected();
+    } else if (draining_) {
+      refusal = make_error(query_status::rejected,
+                           "executor draining; no new queries admitted", 1000);
+    } else if (queue_.size() >= opts_.max_queue) {
       // Same advice scaling as shedding: a full queue is maximal overload,
       // so the advice starts where the shed formula's range does.
-      auto advice = std::chrono::milliseconds(std::min<uint64_t>(
+      const auto advice_ms = static_cast<uint32_t>(std::min<uint64_t>(
           1000, 20 * static_cast<uint64_t>(queue_.size() - opts_.max_queue + 1 +
                                            opts_.max_queue / 2)));
-      const std::string msg =
-          "admission queue full (" + std::to_string(queue_.size()) +
-          " pending, limit " + std::to_string(opts_.max_queue) +
-          "); retry later";
-      const auto advice_ms = static_cast<uint32_t>(advice.count());
-      observe_done(j->tid, j->req, j->sampled, nullptr, j->epoch, 0.0,
-                   "rejected", 0.0, nullptr, msg, advice_ms);
+      refusal = make_error(query_status::rejected,
+                           "admission queue full (" +
+                               std::to_string(queue_.size()) +
+                               " pending, limit " +
+                               std::to_string(opts_.max_queue) +
+                               "); retry later",
+                           advice_ms);
       if (observing())
         obs::log_warn("engine", "query rejected",
                       {{"kind", query_kind_name(j->req.kind)},
                        {"graph", j->req.graph},
                        {"queue_depth", queue_.size()},
                        {"retry_after_ms", advice_ms}});
-      throw rejected_error(msg, advice);
+    } else {
+      // The span must start before the queue lock drops: once push_back
+      // publishes the job, the dispatcher may read queued_span concurrently.
+      if (j->trace != nullptr) j->queued_span = j->trace->begin_span("queued");
+      queue_.push_back(j);
+      g_queue_depth_->set(static_cast<int64_t>(queue_.size()));
     }
-    // The span must start before the queue lock drops: once push_back
-    // publishes the job, the dispatcher may read queued_span concurrently.
-    if (j->trace != nullptr) j->queued_span = j->trace->begin_span("queued");
-    queue_.push_back(j);
-    g_queue_depth_->set(static_cast<int64_t>(queue_.size()));
+  }
+  if (refusal) {
+    j->trace = nullptr;  // a refused query ran nothing: summary-only record
+    finish(*j, 0.0, nullptr, refusal);
+    std::rethrow_exception(refusal);
   }
   notify_work();
 
@@ -394,236 +475,188 @@ std::future<query_result> query_executor::submit(query_request req) {
 }
 
 query_result query_executor::run(const query_request& req) {
-  stats_.record_submitted();
-  // Same observability contract as submit(): mint when a sink is attached,
-  // echo otherwise (the REPL path shows up in /traces too).
-  obs::trace_id tid = req.tid;
-  bool sampled = req.sampled;
-  if (observing()) {
-    if (!tid.valid()) tid = obs::trace_id::mint();
-    sampled = sampled || draw_sample();
-  }
-  obs::trace_id_scope id_scope(tid);
-  graph_handle handle;
-  try {
-    handle = registry_.get(req.graph);
-  } catch (const not_found_error& e) {
-    stats_.record_failed();
-    observe_done(tid, req, sampled, nullptr, 0, 0.0, "not_found", 0.0, nullptr,
-                 e.what(), 0);
-    throw;
-  }
-  const uint64_t epoch = handle->epoch();
-  bool cacheable = req.kind != query_kind::custom &&
-                   req.kind != query_kind::update && cache_.capacity() > 0 &&
-                   req.trace == nullptr;
-  cache_key key;
-  if (cacheable) {
-    key = make_key(req, epoch);
-    if (auto cached = cache_.get(key)) {
-      query_result r = *cached;
-      r.cache_hit = true;
-      r.micros = 0.0;
-      r.tid = tid;
-      stats_.record_completed();
-      observe_done(tid, req, sampled, nullptr, epoch, 0.0, "ok", 0.0, &r, "",
-                   0);
-      return r;
-    }
-  }
-  // Arm an executor-owned trace under the same rules as the async path.
-  std::unique_ptr<obs::query_trace> owned_trace;
-  obs::query_trace* trace = req.trace;
-  if (trace == nullptr && opts_.traces != nullptr &&
-      (sampled || req.deadline.count() > 0 || opts_.slow_trace_micros > 0)) {
-    owned_trace = std::make_unique<obs::query_trace>();
-    trace = owned_trace.get();
-  }
-  // Synchronous path: deadline enforced by polling only (there is no one to
-  // settle the caller's stack frame early).
-  cancel_token token = req.token;
-  cancel_source source;
-  if (req.deadline.count() > 0) {
-    source = cancel_source(req.token,
-                           std::chrono::steady_clock::now() + req.deadline);
-    token = source.token();
-  }
-  const monotonic_time t0 = mono_now();
-  try {
-    query_result r;
-    {
-      obs::trace_scope tracing(trace);
-      obs::span_scope span("execute");
-      r = execute(req, *handle, token);
-    }
-    r.micros = micros_since(t0);
-    r.tid = tid;
-    if (cacheable) {
-      try {
-        cache_.put(key, std::make_shared<query_result>(r));
-      } catch (...) {
-        // Cache insertion failure never fails a completed query.
-      }
-    }
-    stats_.record_latency(req.kind, r.micros);
-    stats_.record_completed();
-    observe_done(tid, req, sampled, trace, epoch, 0.0, "ok", r.micros, &r, "",
-                 0);
-    return r;
-  } catch (const cancelled_error& e) {
-    stats_.record_cancelled();
-    observe_done(tid, req, sampled, trace, epoch, 0.0, "cancelled",
-                 micros_since(t0), nullptr, e.what(), 0);
-    throw;
-  } catch (const deadline_exceeded_error& e) {
-    stats_.record_deadline_exceeded();
-    observe_done(tid, req, sampled, trace, epoch, 0.0, "deadline",
-                 micros_since(t0), nullptr, e.what(), 0);
-    throw;
-  } catch (const std::exception& e) {
-    stats_.record_failed();
-    observe_done(tid, req, sampled, trace, epoch, 0.0, "error",
-                 micros_since(t0), nullptr, e.what(), 0);
-    throw;
-  } catch (...) {
-    stats_.record_failed();
-    observe_done(tid, req, sampled, trace, epoch, 0.0, "error",
-                 micros_since(t0), nullptr, "unknown error", 0);
-    throw;
-  }
+  // submit()'s job, minus admission and the watchdog: the body runs here on
+  // the calling thread, so the deadline is enforced by polling only (there
+  // is no one to settle the caller's stack frame early).
+  std::vector<job_ptr> jobs{make_job(req)};
+  std::future<query_result> fut = jobs.front()->promise.get_future();
+  if (!jobs.front()->finished)
+    run_jobs(jobs, nullptr, nullptr, 0.0, /*on_pool=*/false);
+  return fut.get();
 }
 
-void query_executor::settle_error(const job_ptr& j, std::exception_ptr err) {
-  if (j->settled.exchange(true)) return;  // watchdog got there first
-  try {
-    std::rethrow_exception(err);
-  } catch (const cancelled_error&) {
-    stats_.record_cancelled();
-  } catch (const deadline_exceeded_error&) {
-    stats_.record_deadline_exceeded();
-  } catch (...) {
-    stats_.record_failed();
-  }
-  j->promise.set_exception(std::move(err));
-}
-
-void query_executor::execute_job(const job_ptr& j,
-                                 edge_map_scratch* scratch) {
-  j->queued_micros = micros_since(j->submit_t0);
-  obs::trace_id_scope id_scope(j->tid);
-  if (j->trace != nullptr && j->queued_span != SIZE_MAX)
-    j->trace->end_span(j->queued_span);
-  // A queued job whose token already tripped (deadline passed or caller
-  // cancelled while it waited) is settled without running the body.
-  if (j->token.should_stop()) {
-    std::exception_ptr err;
-    const char* outcome;
-    std::string msg;
-    if (j->token.deadline_exceeded()) {
-      outcome = "deadline";
-      msg = "query deadline exceeded while queued";
-      err = std::make_exception_ptr(deadline_exceeded_error(msg));
-    } else {
-      outcome = "cancelled";
-      msg = "query cancelled while queued";
-      err = std::make_exception_ptr(cancelled_error(msg));
+void query_executor::run_jobs(std::vector<job_ptr>& batch,
+                              edge_map_scratch* scratch,
+                              multi_bfs_scratch* mb_scratch,
+                              double wait_micros, bool on_pool) {
+  // Every member of a coalesced fan-out carries the batch's id (1-based)
+  // and width on each record it leaves, whatever its own outcome.
+  const bool coalesced = batch.size() > 1;
+  if (coalesced) {
+    const uint64_t id = batch_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+    for (auto& j : batch) {
+      j->batch_id = id;
+      j->batch_width = static_cast<uint32_t>(batch.size());
     }
-    settle_error(j, std::move(err));
-    observe_done(j->tid, j->req, j->sampled, j->trace, j->epoch,
-                 j->queued_micros, outcome, 0.0, nullptr, msg, 0);
-    return;
-  }
-  if (j->settled.load(std::memory_order_acquire)) {
-    // The watchdog already settled this job while it sat in the queue; it
-    // never ran, but the flight recorder still wants the refusal.
-    observe_done(j->tid, j->req, j->sampled, j->trace, j->epoch,
-                 j->queued_micros, "deadline", 0.0, nullptr,
-                 "query deadline exceeded while queued (watchdog)", 0);
-    return;
   }
 
-  const monotonic_time t0 = mono_now();
+  // Prologue: close the queued span, and finish without running any member
+  // whose token tripped while it waited — caller cancel, deadline, or the
+  // watchdog (which trips the token before it settles the future).
+  std::erase_if(batch, [this](const job_ptr& j) {
+    j->queued_micros = micros_since(j->submit_t0);
+    if (j->trace != nullptr && j->queued_span != SIZE_MAX)
+      j->trace->end_span(j->queued_span);
+    if (!j->token.should_stop()) return false;
+    finish(*j, 0.0, nullptr, stop_error(j->token, "while queued"));
+    return true;
+  });
+  if (batch.empty()) return;
+
+  if (coalesced) {
+    fan_out(batch, scratch, mb_scratch, wait_micros, on_pool);
+    return;
+  }
+  job& j = *batch.front();
   query_result r;
-  std::exception_ptr err;
-  // The trace and the dispatcher's round scratch are installed *inside*
-  // the body closure: with use_pool the body runs on a pool worker thread,
-  // and that is where edge_map must see them (query bodies execute whole
-  // on one worker — run_on_pool injects the closure, it does not split
-  // it). The scratch is owned by the dispatcher, which runs one body at a
-  // time, so consecutive queries through the same dispatcher reuse warmed
-  // buffers; the scope nests, so a body injected onto a worker that is
-  // mid-join in another query never sees that query's scratch. The trace
-  // installed is the *effective* one (caller's or executor-armed), and the
-  // trace id rides along so log lines fired inside the body correlate.
-  auto body = [&]() noexcept {
-    obs::trace_scope tracing(j->trace);
-    obs::trace_id_scope body_id_scope(j->tid);
-    edge_map_scratch_scope scratch_scope(scratch);
-    obs::span_scope span("execute");
-    try {
-      if (LIGRA_FAILPOINT("executor.dispatch"))
-        throw engine_error(
-            "injected dispatch failure (failpoint executor.dispatch)");
-      r = execute(j->req, *j->handle, j->token);
-    } catch (...) {
-      err = std::current_exception();
-    }
+  const monotonic_time t0 = mono_now();
+  std::exception_ptr err = run_body(j.trace, j.tid, scratch, on_pool, [&] {
+    if (LIGRA_FAILPOINT("executor.dispatch"))
+      throw engine_error(
+          "injected dispatch failure (failpoint executor.dispatch)");
+    r = execute(j.req, *j.handle, j.token);
+  });
+  finish(j, micros_since(t0), err ? nullptr : &r, err);
+}
+
+void query_executor::fan_out(std::vector<job_ptr>& live,
+                             edge_map_scratch* scratch,
+                             multi_bfs_scratch* mb_scratch,
+                             double wait_micros, bool on_pool) {
+  auto drop_finished = [&] {
+    std::erase_if(live, [](const job_ptr& j) { return j->finished; });
+    return live.empty();
   };
-  if (opts_.use_pool) {
-    parallel::run_on_pool(body);
-  } else {
-    body();
+
+  // Batched cache probe (one lock for the whole batch): a sibling batch or
+  // singular query may have filled a member's key since its submit-time
+  // miss.
+  std::vector<cache_key> keys;
+  std::vector<job*> key_member;
+  for (auto& j : live) {
+    if (!j->cacheable) continue;
+    keys.push_back(j->key);
+    key_member.push_back(j.get());
   }
+  if (!keys.empty()) {
+    auto found = cache_.get_many(keys);
+    for (size_t k = 0; k < keys.size(); k++) {
+      if (!found[k]) continue;
+      query_result r = *found[k];
+      r.cache_hit = true;
+      finish(*key_member[k], 0.0, &r);
+    }
+    if (drop_finished()) return;
+  }
+
+  // Invalid vertices fail their member only — the rest of the batch still
+  // traverses.
+  const graph_handle handle = live.front()->handle;
+  const vertex_id n = handle->num_vertices();
+  for (auto& j : live) {
+    try {
+      check_vertex("bfs_hop_distance source", j->req.source, n);
+      check_vertex("bfs_hop_distance target", j->req.target, n);
+    } catch (...) {
+      finish(*j, 0.0, nullptr, std::current_exception());
+    }
+  }
+  if (drop_finished()) return;
+
+  // Single-flight grouping: identical (source, target) members share one
+  // watch, distinct sources share one bit — two callers asking the same
+  // question pay for one answer.
+  std::vector<vertex_id> sources;
+  std::vector<multi_bfs_pair> pairs;
+  std::vector<std::vector<job*>> watch_members;
+  {
+    std::unordered_map<uint64_t, size_t> watch_of;  // (source, target) key
+    std::unordered_map<vertex_id, uint32_t> slot_of;
+    uint64_t dedup = 0;
+    for (auto& j : live) {
+      const uint64_t key = (static_cast<uint64_t>(j->req.source) << 32) |
+                           static_cast<uint64_t>(j->req.target);
+      auto it = watch_of.find(key);
+      if (it != watch_of.end()) {
+        watch_members[it->second].push_back(j.get());
+        dedup++;
+        continue;
+      }
+      auto [sit, fresh] = slot_of.try_emplace(
+          j->req.source, static_cast<uint32_t>(sources.size()));
+      if (fresh) sources.push_back(j->req.source);
+      watch_of.emplace(key, pairs.size());
+      pairs.push_back({sit->second, j->req.target});
+      watch_members.push_back({j.get()});
+    }
+    if (dedup > 0) c_batch_dedup_->inc(dedup);
+  }
+  c_batches_->inc();
+  c_batch_members_->inc(live.size());
+  h_batch_width_->record(static_cast<uint64_t>(live.size()));
+  h_batch_wait_->record(static_cast<uint64_t>(wait_micros));
+
+  // One bit-parallel traversal answers every member. The leader's effective
+  // trace is installed (its rounds carry the batch width via the multi_bfs
+  // span); the other members keep summary-only records stamped with the
+  // batch id.
+  const job& leader = *live.front();
+  const monotonic_time t0 = mono_now();
+  std::vector<int64_t> dist;
+  std::exception_ptr err =
+      run_body(leader.trace, leader.tid, scratch, on_pool, [&] {
+        if (LIGRA_FAILPOINT("batch.fanout"))
+          throw engine_error(
+              "injected batch fan-out failure (failpoint batch.fanout)");
+        multi_bfs_options mopts;
+        mopts.scratch = mb_scratch;
+        // Per-member cancel/deadline isolation: a tripped member is
+        // finished at the round boundary and the traversal carries on for
+        // its siblings; only a fully-abandoned batch stops early.
+        mopts.on_round = [&](int64_t, size_t) {
+          size_t alive = 0;
+          for (auto& j : live) {
+            if (j->finished) continue;
+            if (j->token.should_stop()) {
+              finish(*j, micros_since(t0), nullptr,
+                     stop_error(j->token, "during batched execution"));
+              continue;
+            }
+            alive++;
+          }
+          return alive > 0;
+        };
+        dist = multi_bfs_distances(handle->structure(), sources, pairs, mopts);
+      });
   const double exec_micros = micros_since(t0);
-  if (err) {
-    // Derive the retained outcome from the exception type; settle_error
-    // repeats the classification for stats (it may lose the settle race to
-    // the watchdog, observation here happens exactly once either way).
-    const char* outcome = "error";
-    std::string msg = "unknown error";
-    try {
-      std::rethrow_exception(err);
-    } catch (const cancelled_error& e) {
-      outcome = "cancelled";
-      msg = e.what();
-    } catch (const deadline_exceeded_error& e) {
-      outcome = "deadline";
-      msg = e.what();
-    } catch (const std::exception& e) {
-      msg = e.what();
-    } catch (...) {
-    }
-    settle_error(j, err);
-    observe_done(j->tid, j->req, j->sampled, j->trace, j->epoch,
-                 j->queued_micros, outcome, exec_micros, nullptr, msg, 0);
-    return;
-  }
-  if (j->settled.exchange(true)) {
-    // Late result: the watchdog already delivered deadline_exceeded to the
-    // caller. Retained with the body's real cost — this is exactly the
-    // query a post-mortem wants to see (what was still burning CPU after
-    // its deadline), with every round the body ran.
-    observe_done(j->tid, j->req, j->sampled, j->trace, j->epoch,
-                 j->queued_micros, "deadline", exec_micros, nullptr,
-                 "query deadline exceeded (watchdog): late result discarded",
-                 0);
-    return;
-  }
-  r.micros = exec_micros;
-  r.tid = j->tid;
-  if (j->cacheable) {
-    try {
-      cache_.put(j->key, std::make_shared<query_result>(r));
-    } catch (...) {
-      // Cache insertion failure (failpoint or allocation) never fails a
-      // completed query — the answer still goes out, just uncached.
+
+  // A failed fan-out (failpoint, allocation) fails each remaining member
+  // with the typed error; the coalescer itself is fine — the next batch
+  // starts clean. Otherwise every member gets its watch's answer, settled
+  // (and cached) individually so popular sources hit next time.
+  for (size_t w = 0; w < pairs.size(); w++) {
+    for (job* j : watch_members[w]) {
+      if (j->finished) continue;
+      if (err) {
+        finish(*j, exec_micros, nullptr, err);
+        continue;
+      }
+      query_result r;
+      r.kind = query_kind::bfs_distance;
+      r.value = dist[w];
+      finish(*j, exec_micros, &r);
     }
   }
-  stats_.record_latency(j->req.kind, r.micros);
-  stats_.record_completed();
-  observe_done(j->tid, j->req, j->sampled, j->trace, j->epoch,
-               j->queued_micros, "ok", r.micros, &r, "", 0);
-  j->promise.set_value(std::move(r));
 }
 
 std::deque<query_executor::job_ptr>::iterator
@@ -674,7 +707,6 @@ void query_executor::dispatcher_loop() {
   edge_map_scratch scratch;
   multi_bfs_scratch mb_scratch;
   while (true) {
-    job_ptr j;
     std::vector<job_ptr> batch;
     double wait_micros = 0.0;
     {
@@ -689,14 +721,13 @@ void query_executor::dispatcher_loop() {
       }
       auto it = stop_ ? queue_.begin() : find_eligible_locked();
       if (it == queue_.end()) continue;
-      j = std::move(*it);
+      batch.push_back(std::move(*it));
       queue_.erase(it);
       running_++;
-      running_by_kind_[static_cast<size_t>(j->req.kind)]++;
+      running_by_kind_[static_cast<size_t>(batch.front()->req.kind)]++;
       g_queue_depth_->set(static_cast<int64_t>(queue_.size()));
       g_running_->set(static_cast<int64_t>(running_));
-      if (j->batchable && !stop_) {
-        batch.push_back(j);
+      if (batch.front()->batchable && !stop_) {
         collect_batch_locked(batch);
         // Hold the window open for companions when configured (skipped
         // while draining or shutting down — nothing new is coming).
@@ -715,292 +746,21 @@ void query_executor::dispatcher_loop() {
         }
       }
     }
-    if (batch.size() > 1) {
-      execute_batch(batch, &scratch, &mb_scratch, wait_micros);
-    } else {
-      execute_job(j, &scratch);
-    }
+    // Every member shares the kind (only bfs_distance coalesces); read both
+    // before run_jobs drops the members it finishes early.
+    const size_t kind = static_cast<size_t>(batch.front()->req.kind);
+    const size_t done = batch.size();
+    run_jobs(batch, &scratch, &mb_scratch, wait_micros, opts_.use_pool);
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      const size_t done = batch.empty() ? 1 : batch.size();
       running_ -= done;
-      running_by_kind_[static_cast<size_t>(j->req.kind)] -= done;
+      running_by_kind_[kind] -= done;
       g_running_->set(static_cast<int64_t>(running_));
       if (queue_.empty() && running_ == 0) idle_cv_.notify_all();
     }
     // A kind slot freed up; a queued job previously passed over for its cap
     // may be eligible now.
     notify_work();
-  }
-}
-
-void query_executor::execute_batch(std::vector<job_ptr>& batch,
-                                   edge_map_scratch* scratch,
-                                   multi_bfs_scratch* mb_scratch,
-                                   double wait_micros) {
-  const uint64_t batch_id =
-      batch_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  const auto width = static_cast<uint32_t>(batch.size());
-
-  // Per-member prologue, exactly the singular path's: close the queued
-  // span, and settle members whose token tripped (or whose watchdog fired)
-  // while they sat in the queue or the coalescing window.
-  std::vector<job_ptr> live;
-  live.reserve(batch.size());
-  for (auto& j : batch) {
-    j->queued_micros = micros_since(j->submit_t0);
-    obs::trace_id_scope id_scope(j->tid);
-    if (j->trace != nullptr && j->queued_span != SIZE_MAX)
-      j->trace->end_span(j->queued_span);
-    if (j->token.should_stop()) {
-      const bool deadline = j->token.deadline_exceeded();
-      const std::string msg = deadline
-                                  ? "query deadline exceeded while queued"
-                                  : "query cancelled while queued";
-      settle_error(j, deadline ? std::make_exception_ptr(
-                                     deadline_exceeded_error(msg))
-                               : std::make_exception_ptr(cancelled_error(msg)));
-      observe_done(j->tid, j->req, j->sampled, j->trace, j->epoch,
-                   j->queued_micros, deadline ? "deadline" : "cancelled", 0.0,
-                   nullptr, msg, 0, batch_id, width);
-      continue;
-    }
-    if (j->settled.load(std::memory_order_acquire)) {
-      observe_done(j->tid, j->req, j->sampled, j->trace, j->epoch,
-                   j->queued_micros, "deadline", 0.0, nullptr,
-                   "query deadline exceeded while queued (watchdog)", 0,
-                   batch_id, width);
-      continue;
-    }
-    live.push_back(j);
-  }
-  if (live.empty()) return;
-
-  // Batched cache probe (one lock for the whole batch): a sibling batch or
-  // singular query may have filled a member's key since its submit-time
-  // miss.
-  {
-    std::vector<cache_key> keys;
-    std::vector<size_t> key_member;
-    for (size_t i = 0; i < live.size(); i++) {
-      if (live[i]->cacheable) {
-        keys.push_back(live[i]->key);
-        key_member.push_back(i);
-      }
-    }
-    if (!keys.empty()) {
-      auto found = cache_.get_many(keys);
-      std::vector<char> hit(live.size(), 0);
-      for (size_t k = 0; k < keys.size(); k++) {
-        if (!found[k]) continue;
-        const job_ptr& j = live[key_member[k]];
-        hit[key_member[k]] = 1;
-        if (j->settled.exchange(true)) continue;
-        query_result r = *found[k];
-        r.cache_hit = true;
-        r.micros = 0.0;
-        r.tid = j->tid;
-        stats_.record_completed();
-        observe_done(j->tid, j->req, j->sampled, j->trace, j->epoch,
-                     j->queued_micros, "ok", 0.0, &r, "", 0, batch_id, width);
-        j->promise.set_value(std::move(r));
-      }
-      size_t w = 0;
-      for (size_t i = 0; i < live.size(); i++)
-        if (!hit[i]) live[w++] = std::move(live[i]);
-      live.resize(w);
-    }
-  }
-  if (live.empty()) return;
-
-  // Invalid vertices fail their member only — the rest of the batch still
-  // traverses.
-  const graph_entry& entry = *live.front()->handle;
-  const vertex_id n = entry.num_vertices();
-  {
-    size_t w = 0;
-    for (size_t i = 0; i < live.size(); i++) {
-      const job_ptr& j = live[i];
-      try {
-        check_vertex("bfs_hop_distance source", j->req.source, n);
-        check_vertex("bfs_hop_distance target", j->req.target, n);
-        live[w++] = std::move(live[i]);
-      } catch (const std::invalid_argument& e) {
-        settle_error(j, std::current_exception());
-        observe_done(j->tid, j->req, j->sampled, j->trace, j->epoch,
-                     j->queued_micros, "error", 0.0, nullptr, e.what(), 0,
-                     batch_id, width);
-      }
-    }
-    live.resize(w);
-  }
-  if (live.empty()) return;
-
-  // Single-flight grouping: identical (source, target) members share one
-  // watch, distinct sources share one bit — two callers asking the same
-  // question pay for one answer.
-  std::vector<vertex_id> sources;
-  std::vector<multi_bfs_pair> pairs;
-  std::vector<std::vector<size_t>> watch_members;  // watch -> live indices
-  {
-    std::unordered_map<uint64_t, size_t> watch_of;  // (source, target) key
-    std::unordered_map<vertex_id, uint32_t> slot_of;
-    uint64_t dedup = 0;
-    for (size_t i = 0; i < live.size(); i++) {
-      const uint64_t key =
-          (static_cast<uint64_t>(live[i]->req.source) << 32) |
-          static_cast<uint64_t>(live[i]->req.target);
-      auto it = watch_of.find(key);
-      if (it != watch_of.end()) {
-        watch_members[it->second].push_back(i);
-        dedup++;
-        continue;
-      }
-      auto [sit, fresh] = slot_of.try_emplace(
-          live[i]->req.source, static_cast<uint32_t>(sources.size()));
-      if (fresh) sources.push_back(live[i]->req.source);
-      watch_of.emplace(key, pairs.size());
-      pairs.push_back({sit->second, live[i]->req.target});
-      watch_members.push_back({i});
-    }
-    if (dedup > 0) c_batch_dedup_->inc(dedup);
-  }
-  c_batches_->inc();
-  c_batch_members_->inc(live.size());
-  h_batch_width_->record(static_cast<uint64_t>(live.size()));
-  h_batch_wait_->record(static_cast<uint64_t>(wait_micros));
-
-  // Fan out: one bit-parallel traversal answers every member. The leader's
-  // effective trace is installed (its rounds carry the batch width via the
-  // multi_bfs span); the other members keep summary-only records stamped
-  // with the batch id. `finished` marks members settled mid-flight so the
-  // epilogue skips them; it is only ever touched by this call chain (the
-  // body runs to completion before the epilogue), never concurrently.
-  const job_ptr& leader = live.front();
-  std::vector<char> finished(live.size(), 0);
-  const monotonic_time t0 = mono_now();
-  std::vector<int64_t> dist;
-  std::exception_ptr err;
-  auto body = [&]() noexcept {
-    obs::trace_scope tracing(leader->trace);
-    obs::trace_id_scope body_id_scope(leader->tid);
-    edge_map_scratch_scope scratch_scope(scratch);
-    obs::span_scope span("execute");
-    try {
-      if (LIGRA_FAILPOINT("batch.fanout"))
-        throw engine_error(
-            "injected batch fan-out failure (failpoint batch.fanout)");
-      multi_bfs_options mopts;
-      mopts.scratch = mb_scratch;
-      // Per-member cancel/deadline isolation: a tripped member is settled
-      // at the round boundary and the traversal carries on for its
-      // siblings; only a fully-abandoned batch stops early.
-      mopts.on_round = [&](int64_t, size_t) {
-        size_t alive = 0;
-        for (size_t i = 0; i < live.size(); i++) {
-          if (finished[i]) continue;
-          const job_ptr& j = live[i];
-          if (j->settled.load(std::memory_order_acquire)) continue;
-          if (j->token.should_stop()) {
-            const bool deadline = j->token.deadline_exceeded();
-            const std::string msg =
-                deadline ? "query deadline exceeded during batched execution"
-                         : "query cancelled during batched execution";
-            settle_error(
-                j, deadline ? std::make_exception_ptr(
-                                  deadline_exceeded_error(msg))
-                            : std::make_exception_ptr(cancelled_error(msg)));
-            observe_done(j->tid, j->req, j->sampled, j->trace, j->epoch,
-                         j->queued_micros, deadline ? "deadline" : "cancelled",
-                         micros_since(t0), nullptr, msg, 0, batch_id, width);
-            finished[i] = 1;
-            continue;
-          }
-          alive++;
-        }
-        return alive > 0;
-      };
-      dist = multi_bfs_distances(entry.structure(), sources, pairs, mopts);
-    } catch (...) {
-      err = std::current_exception();
-    }
-  };
-  if (opts_.use_pool) {
-    parallel::run_on_pool(body);
-  } else {
-    body();
-  }
-  const double exec_micros = micros_since(t0);
-
-  if (err) {
-    // A failed fan-out (failpoint, allocation) fails each remaining member
-    // with the typed error; the coalescer itself is fine — the next batch
-    // starts clean.
-    std::string msg = "unknown error";
-    try {
-      std::rethrow_exception(err);
-    } catch (const std::exception& e) {
-      msg = e.what();
-    } catch (...) {
-    }
-    for (size_t i = 0; i < live.size(); i++) {
-      if (finished[i]) continue;
-      settle_error(live[i], err);
-      observe_done(live[i]->tid, live[i]->req, live[i]->sampled,
-                   live[i]->trace, live[i]->epoch, live[i]->queued_micros,
-                   "error", exec_micros, nullptr, msg, 0, batch_id, width);
-    }
-    return;
-  }
-
-  // Split the answers back per member, each settled and cached
-  // individually (one put_many lock for the whole batch) so popular
-  // sources hit the cache next time. The cache insert happens BEFORE any
-  // promise is fulfilled: a caller that observes its result and
-  // immediately resubmits the same key must hit.
-  std::vector<std::pair<cache_key, std::shared_ptr<const query_result>>>
-      inserts;
-  std::vector<std::pair<job_ptr, query_result>> settle;
-  settle.reserve(live.size());
-  for (size_t w = 0; w < pairs.size(); w++) {
-    bool cached_this_watch = false;
-    for (size_t i : watch_members[w]) {
-      if (finished[i]) continue;
-      const job_ptr& j = live[i];
-      query_result r;
-      r.kind = query_kind::bfs_distance;
-      r.value = dist[w];
-      r.micros = exec_micros;
-      r.tid = j->tid;
-      if (j->settled.exchange(true)) {
-        observe_done(j->tid, j->req, j->sampled, j->trace, j->epoch,
-                     j->queued_micros, "deadline", exec_micros, nullptr,
-                     "query deadline exceeded (watchdog): late result "
-                     "discarded",
-                     0, batch_id, width);
-        continue;
-      }
-      if (j->cacheable && !cached_this_watch) {
-        inserts.emplace_back(j->key, std::make_shared<query_result>(r));
-        cached_this_watch = true;
-      }
-      settle.emplace_back(j, std::move(r));
-    }
-  }
-  if (!inserts.empty()) {
-    try {
-      cache_.put_many(std::move(inserts));
-    } catch (...) {
-      // Cache insertion failure never fails a completed query.
-    }
-  }
-  for (auto& [j, r] : settle) {
-    stats_.record_latency(j->req.kind, exec_micros);
-    stats_.record_completed();
-    observe_done(j->tid, j->req, j->sampled, j->trace, j->epoch,
-                 j->queued_micros, "ok", exec_micros, &r, "", 0, batch_id,
-                 width);
-    j->promise.set_value(std::move(r));
   }
 }
 
@@ -1025,13 +785,14 @@ void query_executor::watchdog_loop() {
     lock.unlock();
     // Trip the token (so a polling body exits at its next round) and settle
     // the future now: the caller gets deadline_exceeded at ~the deadline
-    // even if the body never polls. The body's eventual result is discarded
-    // by the settled flag.
+    // even if the body never polls. The body's eventual outcome is recorded
+    // by finish() as the late deadline it is.
     j->source.expire();
     if (!j->settled.exchange(true)) {
-      stats_.record_deadline_exceeded();
-      j->promise.set_exception(std::make_exception_ptr(deadline_exceeded_error(
-          "query deadline exceeded (watchdog): body still running")));
+      stats_.record(query_status::deadline);
+      j->promise.set_exception(make_error(
+          query_status::deadline,
+          "query deadline exceeded (watchdog): body still running"));
     }
     lock.lock();
   }

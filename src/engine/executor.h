@@ -45,6 +45,7 @@
 #include "engine/registry.h"
 #include "engine/result_cache.h"
 #include "engine/stats.h"
+#include "engine/status.h"
 #include "obs/metrics.h"
 
 namespace ligra {
@@ -132,9 +133,10 @@ class query_executor {
   // through the future as typed exceptions.
   std::future<query_result> submit(query_request req);
 
-  // Synchronous execution on the calling thread (same cache, same stats,
-  // no admission control, no watchdog — deadlines are enforced by polling
-  // only) — the REPL/test path.
+  // Synchronous execution on the calling thread through the same lifecycle
+  // as submit() (same cache, stats, and records), minus admission control
+  // and the watchdog — deadlines are enforced by polling only. The
+  // REPL/test path.
   query_result run(const query_request& req);
 
   engine_stats_snapshot stats() const;
@@ -154,6 +156,12 @@ class query_executor {
   bool observing() const {
     return opts_.traces != nullptr || opts_.flightrec != nullptr;
   }
+
+  // Records a request the network tier refused before it reached
+  // admission (draining, in-flight cap, unrepresentable vertex id) in the
+  // flight recorder and trace store, like any other outcome. It bumps no
+  // engine_queries_* counter: the executor never saw the query.
+  void observe_refusal(query_request req, const outcome& o);
 
   size_t queue_depth() const;
   // Blocks until no request is queued or running.
@@ -178,7 +186,6 @@ class query_executor {
     // is set (zero per-round polling cost).
     cancel_source source;
     cancel_token token;
-    bool has_source = false;
     // Open "queued" span in the effective trace; SIZE_MAX when untraced.
     size_t queued_span = SIZE_MAX;
     // Observability (docs/OBSERVABILITY.md): the correlation id (mirrors
@@ -195,8 +202,14 @@ class query_executor {
     // Eligible for multi-BFS coalescing (set at submit: bfs_distance on a
     // non-mutable entry, no caller trace, batching enabled).
     bool batchable = false;
+    // The coalesced fan-out this job rode (0/0 = unbatched).
+    uint64_t batch_id = 0;
+    uint32_t batch_width = 0;
     std::chrono::steady_clock::time_point deadline_at =
         std::chrono::steady_clock::time_point::max();
+    // finish() ran: the outcome is recorded. Touched only by the thread
+    // running the job's lifecycle (never the watchdog).
+    bool finished = false;
     // Whoever exchanges this false->true owns the promise; the loser (a
     // dispatcher finishing after the watchdog fired, or vice versa)
     // discards its result.
@@ -206,38 +219,44 @@ class query_executor {
 
   void dispatcher_loop();
   void watchdog_loop();
-  // Runs one query (cache already missed), settling the promise unless the
-  // watchdog got there first. `scratch` is the calling dispatcher's
-  // edge_map round scratch, installed around the query body so every
-  // traversal round the query runs reuses it — a dispatcher's steady-state
-  // queries allocate no traversal working memory.
-  void execute_job(const job_ptr& j, edge_map_scratch* scratch);
-  // Settles `j` with `err` (if unsettled) and records the outcome in stats.
-  void settle_error(const job_ptr& j, std::exception_ptr err);
+  // The job prologue submit() and run() share: stats, trace id and
+  // sampling, graph lookup, the submit-time cache probe, trace arming, and
+  // the deadline source. An unknown graph or a cache hit comes back already
+  // finished.
+  job_ptr make_job(query_request req);
+  // The one query lifecycle (docs/ENGINE.md). Prologue: close each
+  // member's queued span and finish members whose token tripped while they
+  // waited. Body: a lone job runs execute(); a coalesced batch runs
+  // fan_out(). Epilogue: finish() per member. `scratch` is the calling
+  // dispatcher's edge_map round scratch, installed around the body so
+  // steady-state queries allocate no traversal working memory; `on_pool`
+  // runs the body inside the work-stealing pool; `wait_micros` is how long
+  // the dispatcher held the batch window open. Members it finishes are
+  // erased from `batch`.
+  void run_jobs(std::vector<job_ptr>& batch, edge_map_scratch* scratch,
+                multi_bfs_scratch* mb_scratch, double wait_micros,
+                bool on_pool);
+  // The body of a coalesced batch (docs/ENGINE.md "Batched execution"):
+  // re-probes the cache, rejects invalid vertices, dedups identical
+  // members, and answers the rest with one bit-parallel multi-BFS
+  // (ligra/multi_bfs.h). A member's cancel/deadline/cache-hit/
+  // invalid-vertex outcome never touches its siblings.
+  void fan_out(std::vector<job_ptr>& live, edge_map_scratch* scratch,
+               multi_bfs_scratch* mb_scratch, double wait_micros,
+               bool on_pool);
+  // Settles `j` with `r` (null on failure) or `err`, unless the watchdog
+  // got there first: cache put, stats, observation, and the promise — in
+  // that order, exactly once per job.
+  void finish(job& j, double exec_micros, query_result* r,
+              std::exception_ptr err = nullptr);
   // Per-submission sampling draw against opts_.trace_sample_rate.
   bool draw_sample();
   // Records a finished (or refused) query into the flight recorder and —
   // when the retention rules say so (sampled, non-ok outcome, or
-  // exec >= slow_trace_micros) — the trace store. `trace` may be null
-  // (summary-only record); `r` may be null (error/refusal outcomes);
-  // `retry_after_ms` carries shed/rejected advice. No-op when observing()
-  // is false.
-  // `batch_id`/`batch_width` stamp records of queries served as members of
-  // a coalesced fan-out (0/0 = unbatched).
-  void observe_done(const obs::trace_id& tid, const query_request& req,
-                    bool sampled, obs::query_trace* trace, uint64_t epoch,
-                    double queued_micros, const char* outcome,
-                    double exec_micros, const query_result* r,
-                    const std::string& error, uint32_t retry_after_ms,
-                    uint64_t batch_id = 0, uint32_t batch_width = 0);
-  // Coalesced execution (docs/ENGINE.md "Batched execution"): runs a batch
-  // of compatible bfs_distance jobs as one bit-parallel multi-BFS
-  // (ligra/multi_bfs.h), settling every member individually — a member's
-  // cancel/deadline/cache-hit/invalid-vertex outcome never touches its
-  // siblings. `wait_micros` is how long the dispatcher held the window
-  // open (the coalesce-wait latency metric).
-  void execute_batch(std::vector<job_ptr>& batch, edge_map_scratch* scratch,
-                     multi_bfs_scratch* mb_scratch, double wait_micros);
+  // exec >= slow_trace_micros) — the trace store. `r` is null for non-ok
+  // outcomes. No-op when observing() is false.
+  void observe_done(const job& j, const outcome& o, double exec_micros,
+                    const query_result* r);
   // Moves every queued job coalescible with batch.front() into `batch`
   // (same handle/epoch, up to the batch_max cap), accounting each as
   // running. Caller holds mutex_.

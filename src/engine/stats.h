@@ -14,6 +14,7 @@
 
 #include "engine/query.h"
 #include "engine/result_cache.h"
+#include "engine/status.h"
 #include "obs/metrics.h"
 
 namespace ligra::engine {
@@ -57,14 +58,10 @@ struct engine_stats_snapshot {
 class engine_stats {
  public:
   explicit engine_stats(obs::metrics_registry& reg)
-      : submitted_(reg.get_counter("engine_queries_submitted_total")),
-        completed_(reg.get_counter("engine_queries_completed_total")),
-        failed_(reg.get_counter("engine_queries_failed_total")),
-        rejected_(reg.get_counter("engine_queries_rejected_total")),
-        cancelled_(reg.get_counter("engine_queries_cancelled_total")),
-        deadline_exceeded_(
-            reg.get_counter("engine_queries_deadline_exceeded_total")),
-        shed_(reg.get_counter("engine_queries_shed_total")) {
+      : submitted_(reg.get_counter("engine_queries_submitted_total")) {
+    for (size_t i = 0; i < kNumStatuses; i++)
+      by_status_[i] =
+          &reg.get_counter(status_counter(static_cast<query_status>(i)));
     for (size_t i = 0; i < kNumQueryKinds; i++) {
       latency_[i] = &reg.get_histogram(
           std::string("engine_query_latency_micros{kind=\"") +
@@ -73,12 +70,8 @@ class engine_stats {
   }
 
   void record_submitted() { submitted_.inc(); }
-  void record_completed() { completed_.inc(); }
-  void record_failed() { failed_.inc(); }
-  void record_rejected() { rejected_.inc(); }
-  void record_cancelled() { cancelled_.inc(); }
-  void record_deadline_exceeded() { deadline_exceeded_.inc(); }
-  void record_shed() { shed_.inc(); }
+  // One settled query: bumps the counter its status row names.
+  void record(query_status s) { by_status_[static_cast<size_t>(s)]->inc(); }
 
   void record_latency(query_kind kind, double micros) {
     latency_[static_cast<size_t>(kind)]->record(
@@ -86,13 +79,16 @@ class engine_stats {
   }
 
   void fill(engine_stats_snapshot& out) const {
+    auto count = [this](query_status s) {
+      return by_status_[static_cast<size_t>(s)]->value();
+    };
     out.submitted = submitted_.value();
-    out.completed = completed_.value();
-    out.failed = failed_.value();
-    out.rejected = rejected_.value();
-    out.cancelled = cancelled_.value();
-    out.deadline_exceeded = deadline_exceeded_.value();
-    out.shed = shed_.value();
+    out.completed = count(query_status::ok);
+    out.failed = count(query_status::internal);
+    out.rejected = count(query_status::rejected);
+    out.cancelled = count(query_status::cancelled);
+    out.deadline_exceeded = count(query_status::deadline);
+    out.shed = count(query_status::shed);
     for (size_t i = 0; i < kNumQueryKinds; i++) {
       auto snap = latency_[i]->snapshot();
       auto& k = out.per_kind[i];
@@ -107,12 +103,8 @@ class engine_stats {
 
  private:
   obs::counter& submitted_;
-  obs::counter& completed_;
-  obs::counter& failed_;
-  obs::counter& rejected_;
-  obs::counter& cancelled_;
-  obs::counter& deadline_exceeded_;
-  obs::counter& shed_;
+  // Counter per status row (rows sharing a counter share the handle).
+  std::array<obs::counter*, kNumStatuses> by_status_{};
   std::array<obs::histogram*, kNumQueryKinds> latency_{};
 };
 

@@ -123,22 +123,7 @@ std::vector<char> seal_frame(frame_type type, std::vector<char> payload,
 
 }  // namespace
 
-const char* wire_status_name(wire_status s) {
-  switch (s) {
-    case wire_status::ok: return "ok";
-    case wire_status::cancelled: return "cancelled";
-    case wire_status::deadline: return "deadline";
-    case wire_status::shed: return "shed";
-    case wire_status::rejected: return "rejected";
-    case wire_status::not_found: return "not_found";
-    case wire_status::bad_request: return "bad_request";
-    case wire_status::load: return "load";
-    case wire_status::shutting_down: return "shutting_down";
-    case wire_status::protocol: return "protocol";
-    case wire_status::internal: return "internal";
-  }
-  return "?";
-}
+const char* wire_status_name(wire_status s) { return engine::status_name(s); }
 
 std::optional<frame_view> try_parse_frame(const char* data, size_t len,
                                           size_t* consumed) {
@@ -294,7 +279,7 @@ wire_response decode_response(const char* payload, size_t len, uint8_t flags) {
   wire_response r;
   r.id = c.u64();
   const uint8_t status = c.u8();
-  if (status > static_cast<uint8_t>(wire_status::internal))
+  if (status >= engine::kNumStatuses)
     throw protocol_error("bad response status " + std::to_string(status));
   r.status = static_cast<wire_status>(status);
   r.cache_hit = c.u8() != 0;
@@ -351,31 +336,7 @@ wire_response make_error_response(uint64_t id, wire_status status,
 }
 
 void throw_if_error(const wire_response& resp) {
-  switch (resp.status) {
-    case wire_status::ok:
-      return;
-    case wire_status::cancelled:
-      throw engine::cancelled_error(resp.message);
-    case wire_status::deadline:
-      throw engine::deadline_exceeded_error(resp.message);
-    case wire_status::shed:
-      throw engine::shed_error(resp.message,
-                               std::chrono::milliseconds(resp.retry_after_ms));
-    case wire_status::rejected:
-    case wire_status::shutting_down:
-      throw engine::rejected_error(resp.message,
-                                   std::chrono::milliseconds(resp.retry_after_ms));
-    case wire_status::not_found:
-      throw engine::not_found_error(resp.message);
-    case wire_status::protocol:
-      throw protocol_error(resp.message);
-    case wire_status::bad_request:
-    case wire_status::load:
-    case wire_status::internal:
-      break;
-  }
-  throw engine::engine_error(std::string(wire_status_name(resp.status)) +
-                             ": " + resp.message);
+  engine::rethrow(resp.status, resp.message, resp.retry_after_ms);
 }
 
 }  // namespace ligra::net

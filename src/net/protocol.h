@@ -57,22 +57,19 @@
 
 #include <cstdint>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "dynamic/update_batch.h"
 #include "engine/query.h"
+#include "engine/status.h"
 
 namespace ligra::net {
 
-// Structurally invalid bytes: bad magic/version/type, an impossible length
-// prefix, a failed CRC, or a payload that ends mid-field. The server
-// answers with a `protocol` error frame (when framing still holds) or
-// closes the connection (when it cannot resync); the client surfaces it.
-class protocol_error : public std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
+// Structurally invalid bytes (engine/status.h). The server answers with a
+// `protocol` error frame (when framing still holds) or closes the
+// connection (when it cannot resync); the client surfaces it.
+using engine::protocol_error;
 
 inline constexpr char kFrameMagic[4] = {'L', 'G', 'N', 'P'};
 // Current speaking version and the oldest version still decoded. v1 frames
@@ -89,22 +86,10 @@ inline constexpr uint32_t kMaxPayloadBytes = 16u << 20;
 
 enum class frame_type : uint8_t { request = 1, response = 2 };
 
-// Response status: `ok` or one typed error. Mirrors the engine error
-// taxonomy so client-side code can rethrow the exact exception a local
-// caller would have caught.
-enum class wire_status : uint8_t {
-  ok = 0,
-  cancelled,       // engine::cancelled_error
-  deadline,        // engine::deadline_exceeded_error
-  shed,            // engine::shed_error (retry_after_ms populated)
-  rejected,        // engine::rejected_error (retry_after_ms populated)
-  not_found,       // engine::not_found_error
-  bad_request,     // malformed parameters (vertex out of range, ...)
-  load,            // engine::load_error / update_error
-  shutting_down,   // server draining; retry against another replica
-  protocol,        // the *server* could not parse the request frame
-  internal,        // anything else; message has details
-};
+// Response status: `ok` or one typed error — the engine's status table
+// (engine/status.h), whose codes are the wire byte, so client-side code
+// rethrows the exact exception a local caller would have caught.
+using wire_status = engine::query_status;
 
 const char* wire_status_name(wire_status s);
 
@@ -176,10 +161,10 @@ wire_request decode_request(const char* payload, size_t len,
 wire_response decode_response(const char* payload, size_t len,
                               uint8_t flags = 0);
 
-// Maps an engine exception (or success) to the wire taxonomy; the server
-// uses these to build error frames, the client to rethrow. make_response
-// fills a response frame from a finished query; throw_if_error turns a
-// received error response back into the typed engine exception.
+// make_response fills a response frame from a finished query;
+// make_error_response from a classified failure (engine::classify);
+// throw_if_error turns a received error response back into the typed
+// engine exception (engine::rethrow).
 wire_response make_response(uint64_t id, const engine::query_result& r);
 wire_response make_error_response(uint64_t id, wire_status status,
                                   const std::string& message,

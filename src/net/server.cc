@@ -12,7 +12,6 @@
 #include <cstring>
 #include <utility>
 
-#include "engine/registry.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
 #include "obs/trace_store.h"
@@ -416,31 +415,12 @@ void server::handle_request(connection& c, const frame_view& f) {
   // below (draining / in-flight cap / bad request) carry a retrievable id.
   if (ex_.observing() && !wr.tid.valid()) wr.tid = obs::trace_id::mint();
   // Every early answer echoes the id the engine would have used.
-  auto error_frame = [&](uint64_t id, wire_status status,
-                         const std::string& message, uint32_t retry_ms) {
-    wire_response resp = make_error_response(id, status, message, retry_ms);
+  auto refuse = [&](const engine::outcome& o) {
+    wire_response resp = make_error_response(wr.id, o.status, o.message,
+                                             o.retry_after_ms);
     resp.tid = wr.tid;
-    return encode_response_frame(resp);
+    enqueue_frame(c, encode_response_frame(resp));
   };
-  if (draining_.load(std::memory_order_acquire)) {
-    enqueue_frame(c, error_frame(wr.id, wire_status::shutting_down,
-                                 "server draining", 1000));
-    return;
-  }
-  if (c.inflight >= opts_.max_inflight_per_conn) {
-    enqueue_frame(
-        c, error_frame(wr.id, wire_status::rejected,
-                       "connection in-flight cap (" +
-                           std::to_string(opts_.max_inflight_per_conn) +
-                           ") reached",
-                       20));
-    return;
-  }
-  if (wr.source > kNoVertex || wr.target > kNoVertex) {
-    enqueue_frame(c, error_frame(wr.id, wire_status::bad_request,
-                                 "vertex id out of 32-bit range", 0));
-    return;
-  }
 
   engine::query_request req;
   req.graph = std::move(wr.graph);
@@ -454,6 +434,25 @@ void server::handle_request(connection& c, const frame_view& f) {
   req.sampled = wr.sampled;
   if (wr.kind == engine::query_kind::update)
     req.updates = std::make_shared<dynamic::update_batch>(std::move(wr.updates));
+
+  // Refusals the executor never sees still land in its flight recorder and
+  // trace store, so GET /traces/<id> explains them like any other outcome.
+  engine::outcome refusal;
+  if (draining_.load(std::memory_order_acquire)) {
+    refusal = {wire_status::shutting_down, "server draining", 1000};
+  } else if (c.inflight >= opts_.max_inflight_per_conn) {
+    refusal = {wire_status::rejected,
+               "connection in-flight cap (" +
+                   std::to_string(opts_.max_inflight_per_conn) + ") reached",
+               20};
+  } else if (wr.source > kNoVertex || wr.target > kNoVertex) {
+    refusal = {wire_status::bad_request, "vertex id out of 32-bit range", 0};
+  }
+  if (refusal.status != wire_status::ok) {
+    ex_.observe_refusal(std::move(req), refusal);
+    refuse(refusal);
+    return;
+  }
 
   try {
     pending p;
@@ -473,14 +472,9 @@ void server::handle_request(connection& c, const frame_view& f) {
       comp_queue_.push_back(std::move(p));
     }
     comp_cv_.notify_one();
-  } catch (const engine::shed_error& e) {
-    enqueue_frame(c, error_frame(wr.id, wire_status::shed, e.what(),
-                                 static_cast<uint32_t>(e.retry_after.count())));
-  } catch (const engine::rejected_error& e) {
-    enqueue_frame(c, error_frame(wr.id, wire_status::rejected, e.what(),
-                                 static_cast<uint32_t>(e.retry_after.count())));
-  } catch (const std::exception& e) {
-    enqueue_frame(c, error_frame(wr.id, wire_status::internal, e.what(), 0));
+  } catch (...) {
+    // Shed / rejected at admission (the executor recorded it already).
+    refuse(engine::classify(std::current_exception()));
   }
 }
 
@@ -508,32 +502,21 @@ void server::completion_loop() {
     }
     if (!abandoned) {
       wire_response resp;
+      // Read through a shared_future that outlives the handler:
+      // future::get() drops the shared state before the handler runs, and
+      // the executor may then destroy the exception on its own thread while
+      // classify() reads it, ordered only by the exception's refcount
+      // inside the uninstrumented runtime, which TSan cannot see.
+      const std::shared_future<engine::query_result> fut = p.fut.share();
       try {
-        resp = make_response(p.request_id, p.fut.get());
-      } catch (const engine::cancelled_error& e) {
-        resp = make_error_response(p.request_id, wire_status::cancelled, e.what());
-      } catch (const engine::deadline_exceeded_error& e) {
-        resp = make_error_response(p.request_id, wire_status::deadline, e.what());
-      } catch (const engine::shed_error& e) {
-        resp = make_error_response(p.request_id, wire_status::shed, e.what(),
-                                   static_cast<uint32_t>(e.retry_after.count()));
-      } catch (const engine::rejected_error& e) {
-        resp = make_error_response(p.request_id, wire_status::rejected, e.what(),
-                                   static_cast<uint32_t>(e.retry_after.count()));
-      } catch (const engine::not_found_error& e) {
-        resp = make_error_response(p.request_id, wire_status::not_found, e.what());
-      } catch (const engine::load_error& e) {
-        resp = make_error_response(p.request_id, wire_status::load, e.what());
-      } catch (const engine::update_error& e) {
-        resp = make_error_response(p.request_id, wire_status::load, e.what());
-      } catch (const std::invalid_argument& e) {
-        resp = make_error_response(p.request_id, wire_status::bad_request,
-                                   e.what());
-      } catch (const std::exception& e) {
-        resp = make_error_response(p.request_id, wire_status::internal, e.what());
+        resp = make_response(p.request_id, fut.get());
+      } catch (...) {
+        const engine::outcome o = engine::classify(std::current_exception());
+        resp = make_error_response(p.request_id, o.status, o.message,
+                                   o.retry_after_ms);
       }
       // Error responses carry the id too: make_response stamps it from the
-      // result, the catch arms above cannot — a deadline-exceeded caller
+      // result, the catch arm above cannot — a deadline-exceeded caller
       // needs exactly this id to fetch the post-mortem trace.
       if (!resp.tid.valid()) resp.tid = p.tid;
       h_request_micros_->record(micros_since(p.t0));

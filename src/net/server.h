@@ -11,8 +11,9 @@
 //     admission queue, shed watermark, per-kind caps, deadlines, and
 //     watchdog apply to network traffic exactly as they do to in-process
 //     callers. Immediate outcomes (shed, rejected, draining, per-connection
-//     in-flight cap, protocol errors) are answered from the loop without
-//     touching the executor.
+//     in-flight cap, protocol errors) are answered from the loop; the
+//     refusals the executor never saw are still recorded in its flight
+//     recorder and trace store (query_executor::observe_refusal).
 //   - A small pool of *completion* threads waits on submitted futures,
 //     converts results or typed engine errors into response frames, and
 //     posts them back to the event loop through an outbox + wake pipe (the

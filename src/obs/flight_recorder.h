@@ -26,7 +26,9 @@ struct flight_entry {
   trace_id id{};
   char kind[12] = {};     // query_kind_name
   char graph[24] = {};    // registry name, truncated
-  char outcome[12] = {};  // ok | deadline | cancelled | shed | rejected | ...
+  // engine::status_name of the outcome; engine/status.cc static_asserts
+  // that every status name fits.
+  char outcome[16] = {};
   uint64_t epoch = 0;
   double queued_micros = 0.0;
   double exec_micros = 0.0;

@@ -42,8 +42,7 @@ struct trace_record {
   uint64_t seq = 0;  // insertion order, assigned by the store (1-based)
   std::string kind;
   std::string graph;
-  std::string outcome = "ok";  // ok | deadline | cancelled | shed |
-                               // rejected | not_found | error
+  std::string outcome = "ok";  // engine::status_name (engine/status.h)
   bool sampled = false;
   bool cache_hit = false;
   uint64_t epoch = 0;

@@ -1066,3 +1066,38 @@ TEST_F(NetTest, ShedRefusalCarriesTraceIdAndRetryAdvice) {
   EXPECT_NE(body.find("\"retry_after_ms\""), std::string::npos);
   srv.stop();
 }
+
+TEST_F(NetTest, ServerRefusalIsRetrievableByTraceId) {
+  obs::trace_store traces(64);
+  obs::flight_recorder flightrec(64);
+  e::registry reg;
+  reg.add("g", small_graph());
+  e::executor_options eopts;
+  eopts.traces = &traces;
+  eopts.flightrec = &flightrec;
+  e::query_executor ex(reg, eopts);
+  n::server_options sopts;
+  sopts.http_port = 0;
+  n::server srv(ex, sopts);
+  srv.start();
+
+  // A 64-bit vertex id is refused by the server before admission; the
+  // refusal still lands in the executor's trace store and flight recorder.
+  n::client c;
+  c.connect("127.0.0.1", srv.port());
+  n::wire_request big = bfs_request(0);
+  big.target = uint64_t{1} << 40;
+  EXPECT_THROW(c.run(big), e::bad_request_error);
+  const obs::trace_id tid = c.last_trace_id();
+  ASSERT_TRUE(tid.valid()) << "the server mints an id for the refusal";
+
+  auto body = http_get(srv.http_port(), "/traces/" + tid.to_hex());
+  EXPECT_NE(body.find("200 OK"), std::string::npos);
+  EXPECT_NE(body.find("\"outcome\":\"bad_request\""), std::string::npos);
+  auto flight = http_get(srv.http_port(), "/debug/flightrec");
+  EXPECT_NE(flight.find(tid.to_hex()), std::string::npos);
+  // Never admitted, so no engine_queries_* counter moved.
+  EXPECT_EQ(ex.stats().submitted, 0u);
+  EXPECT_EQ(ex.stats().failed, 0u);
+  srv.stop();
+}
