@@ -290,7 +290,7 @@ void query_executor::finish(job& j, double exec_micros, query_result* r,
                             std::exception_ptr err) {
   j.finished = true;
   if (j.settled.exchange(true)) {
-    // Late outcome: the watchdog already delivered (and counted)
+    // Late outcome: the watchdog already settled (and counted)
     // deadline_exceeded. Retained with the body's real cost — exactly the
     // query a post-mortem wants to see (what was still burning CPU after
     // its deadline), with every round the body ran.
@@ -306,8 +306,8 @@ void query_executor::finish(job& j, double exec_micros, query_result* r,
     r->tid = j.tid;
     if (!r->cache_hit) {
       if (j.cacheable) {
-        // Inserted before the promise is fulfilled: a caller that observes
-        // its result and immediately resubmits the same key must hit.
+        // Inserted before on_settle runs: a caller that observes its result
+        // and immediately resubmits the same key must hit.
         try {
           cache_.put(j.key, std::make_shared<query_result>(*r));
         } catch (...) {
@@ -320,17 +320,17 @@ void query_executor::finish(job& j, double exec_micros, query_result* r,
   }
   stats_.record(o.status);
   observe_done(j, o, exec_micros, r);
-  if (r != nullptr) {
-    j.promise.set_value(std::move(*r));
-  } else {
-    j.promise.set_exception(std::move(err));
-  }
+  // Moved out so whatever the continuation captured is released as soon as
+  // it returns. Empty only for a refusal, which submit() throws instead.
+  if (settle_fn fn = std::move(j.on_settle)) fn(r, std::move(err));
 }
 
-query_executor::job_ptr query_executor::make_job(query_request req) {
+query_executor::job_ptr query_executor::make_job(query_request req,
+                                                 settle_fn on_settle) {
   stats_.record_submitted();
   auto j = std::make_shared<job>();
   j->req = std::move(req);
+  j->on_settle = std::move(on_settle);
   j->submit_t0 = mono_now();
   // Mint a correlation id for requests that arrive without one whenever a
   // sink is attached; echo a caller-supplied id either way. Sampling is
@@ -398,10 +398,9 @@ query_executor::job_ptr query_executor::make_job(query_request req) {
   return j;
 }
 
-std::future<query_result> query_executor::submit(query_request req) {
-  job_ptr j = make_job(std::move(req));
-  std::future<query_result> fut = j->promise.get_future();
-  if (j->finished) return fut;  // unknown graph or cache hit
+void query_executor::submit(query_request req, settle_fn on_settle) {
+  job_ptr j = make_job(std::move(req), std::move(on_settle));
+  if (j->finished) return;  // unknown graph or cache hit
   // Log lines fired from the admission path carry the query's id.
   obs::trace_id_scope id_scope(j->tid);
 
@@ -459,6 +458,7 @@ std::future<query_result> query_executor::submit(query_request req) {
   }
   if (refusal) {
     j->trace = nullptr;  // a refused query ran nothing: summary-only record
+    j->on_settle = nullptr;  // the caller hears of it from the throw below
     finish(*j, 0.0, nullptr, refusal);
     std::rethrow_exception(refusal);
   }
@@ -471,18 +471,37 @@ std::future<query_result> query_executor::submit(query_request req) {
     }
     wd_cv_.notify_one();
   }
+}
+
+std::future<query_result> query_executor::submit(query_request req) {
+  auto promise = std::make_shared<std::promise<query_result>>();
+  std::future<query_result> fut = promise->get_future();
+  submit(std::move(req), [promise](query_result* r, std::exception_ptr err) {
+    if (r != nullptr) {
+      promise->set_value(std::move(*r));
+    } else {
+      promise->set_exception(std::move(err));
+    }
+  });
   return fut;
 }
 
 query_result query_executor::run(const query_request& req) {
   // submit()'s job, minus admission and the watchdog: the body runs here on
   // the calling thread, so the deadline is enforced by polling only (there
-  // is no one to settle the caller's stack frame early).
-  std::vector<job_ptr> jobs{make_job(req)};
-  std::future<query_result> fut = jobs.front()->promise.get_future();
+  // is no one to settle the caller's stack frame early), and the
+  // continuation has run by the time run_jobs returns.
+  query_result out;
+  std::exception_ptr err;
+  std::vector<job_ptr> jobs{
+      make_job(req, [&](query_result* r, std::exception_ptr e) {
+        if (r != nullptr) out = std::move(*r);
+        err = std::move(e);
+      })};
   if (!jobs.front()->finished)
     run_jobs(jobs, nullptr, nullptr, 0.0, /*on_pool=*/false);
-  return fut.get();
+  if (err) std::rethrow_exception(err);
+  return out;
 }
 
 void query_executor::run_jobs(std::vector<job_ptr>& batch,
@@ -502,7 +521,7 @@ void query_executor::run_jobs(std::vector<job_ptr>& batch,
 
   // Prologue: close the queued span, and finish without running any member
   // whose token tripped while it waited — caller cancel, deadline, or the
-  // watchdog (which trips the token before it settles the future).
+  // watchdog (which trips the token before it settles the query).
   std::erase_if(batch, [this](const job_ptr& j) {
     j->queued_micros = micros_since(j->submit_t0);
     if (j->trace != nullptr && j->queued_span != SIZE_MAX)
@@ -784,15 +803,16 @@ void query_executor::watchdog_loop() {
     if (!j) continue;  // settled and destroyed long ago
     lock.unlock();
     // Trip the token (so a polling body exits at its next round) and settle
-    // the future now: the caller gets deadline_exceeded at ~the deadline
+    // the query now: the caller gets deadline_exceeded at ~the deadline
     // even if the body never polls. The body's eventual outcome is recorded
     // by finish() as the late deadline it is.
     j->source.expire();
     if (!j->settled.exchange(true)) {
       stats_.record(query_status::deadline);
-      j->promise.set_exception(make_error(
-          query_status::deadline,
-          "query deadline exceeded (watchdog): body still running"));
+      if (settle_fn fn = std::move(j->on_settle))
+        fn(nullptr, make_error(query_status::deadline,
+                               "query deadline exceeded (watchdog): "
+                               "body still running"));
     }
     lock.lock();
   }

@@ -1,19 +1,24 @@
 // Admission-controlled query executor (docs/ENGINE.md, docs/ROBUSTNESS.md).
 //
 // submit() resolves the graph handle (pinning the graph for the query's
-// lifetime), probes the result cache — a hit returns a ready future without
-// touching the admission queue — and otherwise enqueues the request into a
-// bounded queue drained by `max_concurrency` dispatcher threads. A full
-// queue rejects immediately (rejected_error): callers see backpressure, the
-// engine never deadlocks or grows unboundedly. Past `shed_watermark`,
-// low-priority requests are shed immediately (shed_error with retry_after
-// advice) so paying traffic keeps the remaining queue slots.
+// lifetime), probes the result cache — a hit settles the query at once
+// without touching the admission queue — and otherwise enqueues the request
+// into a bounded queue drained by `max_concurrency` dispatcher threads. A
+// full queue rejects immediately (rejected_error): callers see
+// backpressure, the engine never deadlocks or grows unboundedly. Past
+// `shed_watermark`, low-priority requests are shed immediately (shed_error
+// with retry_after advice) so paying traffic keeps the remaining queue
+// slots.
+//
+// Every admitted query delivers its outcome the one way: a one-shot
+// continuation (settle_fn) called exactly once, by whichever path settles
+// it. The future returned by submit(req) is an adapter over it.
 //
 // Lifecycle robustness: every query with a deadline or caller token runs
 // under a derived cancel_source. The query body polls the token at round
 // boundaries and bails with a typed error; a watchdog thread additionally
-// settles the future (and trips the token) at the deadline for bodies that
-// never poll, so a future is never late just because a body is
+// settles the query (and trips the token) at the deadline for bodies that
+// never poll, so an outcome is never late just because a body is
 // uncooperative. Late results from an already-settled job are discarded.
 //
 // Dispatcher threads are deliberately NOT compute threads: with
@@ -33,6 +38,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -59,6 +65,11 @@ class flight_recorder;  // obs/flight_recorder.h
 }  // namespace ligra::obs
 
 namespace ligra::engine {
+
+// A query's one-shot continuation: the result on success (`r` non-null,
+// `err` null; the callee may move from *r), or the typed error (`r` null).
+// Contract in docs/ENGINE.md "Settling by continuation".
+using settle_fn = std::function<void(query_result* r, std::exception_ptr err)>;
 
 struct executor_options {
   // Concurrent queries in flight. 0 picks min(4, parallel::num_workers()).
@@ -128,15 +139,21 @@ class query_executor {
   query_executor& operator=(const query_executor&) = delete;
 
   // Asynchronous submission. Throws rejected_error if the admission queue
-  // is full, shed_error if the request was load-shed. Query-level failures
-  // (unknown graph, bad vertex, cancellation, deadline, ...) surface
-  // through the future as typed exceptions.
+  // is full or the executor is draining, shed_error if the request was
+  // load-shed; `on_settle` is then never called. Otherwise it is called
+  // exactly once with the outcome — query-level failures (unknown graph,
+  // bad vertex, cancellation, deadline, ...) as typed exceptions — on
+  // whichever thread settles the query: this one (cache hit, unknown
+  // graph), a dispatcher, a pool worker, or the watchdog. It must not
+  // block or throw.
+  void submit(query_request req, settle_fn on_settle);
+  // The same, delivered through a future.
   std::future<query_result> submit(query_request req);
 
   // Synchronous execution on the calling thread through the same lifecycle
-  // as submit() (same cache, stats, and records), minus admission control
-  // and the watchdog — deadlines are enforced by polling only. The
-  // REPL/test path.
+  // as submit() (same cache, stats, records, and continuation), minus
+  // admission control and the watchdog — deadlines are enforced by polling
+  // only. The REPL/test path.
   query_result run(const query_request& req);
 
   engine_stats_snapshot stats() const;
@@ -181,7 +198,7 @@ class query_executor {
     graph_handle handle;
     bool cacheable = false;
     cache_key key;
-    std::promise<query_result> promise;
+    settle_fn on_settle;
     // Derived from req.token + req.deadline; inactive token when neither
     // is set (zero per-round polling cost).
     cancel_source source;
@@ -210,7 +227,7 @@ class query_executor {
     // finish() ran: the outcome is recorded. Touched only by the thread
     // running the job's lifecycle (never the watchdog).
     bool finished = false;
-    // Whoever exchanges this false->true owns the promise; the loser (a
+    // Whoever exchanges this false->true calls on_settle; the loser (a
     // dispatcher finishing after the watchdog fired, or vice versa)
     // discards its result.
     std::atomic<bool> settled{false};
@@ -222,8 +239,8 @@ class query_executor {
   // The job prologue submit() and run() share: stats, trace id and
   // sampling, graph lookup, the submit-time cache probe, trace arming, and
   // the deadline source. An unknown graph or a cache hit comes back already
-  // finished.
-  job_ptr make_job(query_request req);
+  // finished (on_settle called).
+  job_ptr make_job(query_request req, settle_fn on_settle);
   // The one query lifecycle (docs/ENGINE.md). Prologue: close each
   // member's queued span and finish members whose token tripped while they
   // waited. Body: a lone job runs execute(); a coalesced batch runs
@@ -245,7 +262,7 @@ class query_executor {
                multi_bfs_scratch* mb_scratch, double wait_micros,
                bool on_pool);
   // Settles `j` with `r` (null on failure) or `err`, unless the watchdog
-  // got there first: cache put, stats, observation, and the promise — in
+  // got there first: cache put, stats, observation, and on_settle — in
   // that order, exactly once per job.
   void finish(job& j, double exec_micros, query_result* r,
               std::exception_ptr err = nullptr);

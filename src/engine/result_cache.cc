@@ -91,53 +91,6 @@ std::vector<std::shared_ptr<const query_result>> result_cache::get_many(
   return out;
 }
 
-void result_cache::put_many(
-    std::vector<std::pair<cache_key, std::shared_ptr<const query_result>>>
-        entries) {
-  if (capacity_ == 0 || entries.empty()) return;
-  uint64_t failures = 0;
-  uint64_t evicted = 0;
-  uint64_t inserted = 0;
-  size_t size_after = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto& [key, value] : entries) {
-      if (LIGRA_FAILPOINT("cache.insert")) {
-        failures++;
-        continue;
-      }
-      auto it = map_.find(key);
-      if (it != map_.end()) {
-        it->second->second = std::move(value);
-        lru_.splice(lru_.begin(), lru_, it->second);
-        continue;
-      }
-      if (lru_.size() >= capacity_) {
-        map_.erase(lru_.back().first);
-        lru_.pop_back();
-        evicted++;
-      }
-      lru_.emplace_front(key, std::move(value));
-      map_[key] = lru_.begin();
-      inserted++;
-    }
-    size_after = lru_.size();
-  }
-  if (failures > 0) {
-    insert_failures_.fetch_add(failures, std::memory_order_relaxed);
-    if (m_insert_failures_ != nullptr) m_insert_failures_->inc(failures);
-  }
-  if (evicted > 0) {
-    evictions_.fetch_add(evicted, std::memory_order_relaxed);
-    if (m_evictions_ != nullptr) m_evictions_->inc(evicted);
-  }
-  if (inserted > 0) {
-    insertions_.fetch_add(inserted, std::memory_order_relaxed);
-    if (m_insertions_ != nullptr) m_insertions_->inc(inserted);
-    if (m_size_ != nullptr) m_size_->set(static_cast<int64_t>(size_after));
-  }
-}
-
 void result_cache::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   lru_.clear();

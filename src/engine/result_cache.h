@@ -105,15 +105,6 @@ class result_cache {
   std::vector<std::shared_ptr<const query_result>> get_many(
       const std::vector<cache_key>& keys);
 
-  // Batched insert under one lock acquisition; same eviction and refresh
-  // semantics as per-entry put(). The `cache.insert` failpoint is
-  // evaluated once per entry (a failed entry counts an insert_failure and
-  // is skipped; the rest of the batch still lands), so fault-injection
-  // coverage is identical to the singular path.
-  void put_many(
-      std::vector<std::pair<cache_key, std::shared_ptr<const query_result>>>
-          entries);
-
   // Drops all entries; counters are preserved (they describe the lifetime
   // of the cache, not its current contents).
   void clear();

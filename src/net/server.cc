@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <condition_variable>
 #include <cstring>
 #include <utility>
 
@@ -16,6 +17,7 @@
 #include "obs/log.h"
 #include "obs/trace_store.h"
 #include "util/failpoint.h"
+#include "util/timer.h"
 
 namespace ligra::net {
 
@@ -75,6 +77,50 @@ std::vector<char> http_response(const std::string& status,
 
 }  // namespace
 
+// Every continuation holds the outbox by shared_ptr, so one that runs after
+// stop() or ~server() finds it closed instead of freed memory, and a
+// restarted server (which gets a new outbox) never sees its response.
+struct server::outbox {
+  explicit outbox(int wake) : wake_fd(wake) {}
+
+  // Counts a request in flight before submit(); post() or, when submit()
+  // throws, leave() un-counts it.
+  void enter() {
+    std::lock_guard<std::mutex> lock(mutex);
+    inflight++;
+  }
+  void leave() {
+    std::lock_guard<std::mutex> lock(mutex);
+    leave_locked();
+  }
+  // Queues `frame` for connection `conn` and wakes the event loop, unless
+  // stop() closed the box (then the response is dropped).
+  void post(uint64_t conn, std::vector<char> frame) {
+    std::lock_guard<std::mutex> lock(mutex);
+    if (open) {
+      frames.emplace_back(conn, std::move(frame));
+      char b = 1;
+      // Best-effort: a full pipe already guarantees a pending wake.
+      [[maybe_unused]] ssize_t n = ::write(wake_fd, &b, 1);
+    }
+    leave_locked();
+  }
+  // Never below zero: a request un-counted before it was counted stays
+  // counted, and stop() shows it by waiting out drain_deadline.
+  void leave_locked() {
+    if (inflight > 0 && --inflight == 0) idle.notify_all();
+  }
+
+  std::mutex mutex;
+  std::condition_variable idle;  // inflight reached zero
+  std::vector<std::pair<uint64_t, std::vector<char>>> frames;
+  size_t inflight = 0;
+  // Cleared by stop() before it closes the wake pipe: a closed box never
+  // writes wake_fd.
+  bool open = true;
+  const int wake_fd;
+};
+
 server::server(engine::query_executor& ex, server_options opts)
     : ex_(ex),
       opts_(opts),
@@ -97,7 +143,6 @@ server::server(engine::query_executor& ex, server_options opts)
           &ex.metrics().get_counter("engine_net_http_requests_total")),
       h_request_micros_(
           &ex.metrics().get_histogram("engine_net_request_micros")) {
-  if (opts_.completion_threads == 0) opts_.completion_threads = 1;
   if (opts_.max_inflight_per_conn == 0) opts_.max_inflight_per_conn = 1;
 }
 
@@ -132,16 +177,9 @@ void server::start() {
 
   draining_.store(false);
   terminate_.store(false);
-  abandon_waits_.store(false);
-  {
-    std::lock_guard<std::mutex> lock(comp_mutex_);
-    comp_stop_ = false;
-  }
+  outbox_ = std::make_shared<outbox>(wake_wr_);
   running_.store(true, std::memory_order_release);
   event_thread_ = std::thread([this] { event_loop(); });
-  completion_threads_.reserve(opts_.completion_threads);
-  for (size_t i = 0; i < opts_.completion_threads; i++)
-    completion_threads_.emplace_back([this] { completion_loop(); });
 }
 
 void server::stop() {
@@ -157,45 +195,29 @@ void server::stop() {
   wake();
 
   // Phase 2: bounded drain — wait for every submitted query's response to
-  // be enqueued (queries the executor is still running hold this up).
+  // be posted (queries the executor is still running hold this up).
+  outbox& box = *outbox_;
   {
-    std::unique_lock<std::mutex> lock(drain_mutex_);
-    drain_cv_.wait_until(lock,
-                         std::chrono::steady_clock::now() + opts_.drain_deadline,
-                         [this] { return inflight_total_ == 0; });
+    std::unique_lock<std::mutex> lock(box.mutex);
+    box.idle.wait_until(lock,
+                        std::chrono::steady_clock::now() + opts_.drain_deadline,
+                        [&box] { return box.inflight == 0; });
   }
-  // Completion threads blocked on futures past the deadline abandon their
-  // waits (the executor still settles those futures; nobody reads them).
-  abandon_waits_.store(true, std::memory_order_release);
 
   // Phase 3: teardown. One last loop turn flushes what it can, then every
-  // socket closes.
+  // socket closes. Queries still running settle later into the closed
+  // outbox.
   terminate_.store(true, std::memory_order_release);
   wake();
   event_thread_.join();
   {
-    std::lock_guard<std::mutex> lock(comp_mutex_);
-    comp_stop_ = true;
+    std::lock_guard<std::mutex> lock(box.mutex);
+    box.open = false;
   }
-  comp_cv_.notify_all();
-  for (auto& t : completion_threads_) t.join();
-  completion_threads_.clear();
-
+  outbox_.reset();
   ::close(wake_rd_);
   ::close(wake_wr_);
   wake_rd_ = wake_wr_ = -1;
-  {
-    std::lock_guard<std::mutex> lock(comp_mutex_);
-    comp_queue_.clear();
-  }
-  {
-    std::lock_guard<std::mutex> lock(outbox_mutex_);
-    outbox_.clear();
-  }
-  {
-    std::lock_guard<std::mutex> lock(drain_mutex_);
-    inflight_total_ = 0;
-  }
   running_.store(false, std::memory_order_release);
 }
 
@@ -254,8 +276,8 @@ void server::event_loop() {
     {
       std::vector<std::pair<uint64_t, std::vector<char>>> ready;
       {
-        std::lock_guard<std::mutex> lock(outbox_mutex_);
-        ready.swap(outbox_);
+        std::lock_guard<std::mutex> lock(outbox_->mutex);
+        ready.swap(outbox_->frames);
       }
       for (auto& [conn_id, frame] : ready) {
         auto it = conns_.find(conn_id);
@@ -454,83 +476,38 @@ void server::handle_request(connection& c, const frame_view& f) {
     return;
   }
 
+  // Counted in flight before submit(): a cache hit or an unknown graph
+  // settles inside it, on this thread. The continuation touches nothing
+  // the server owns, so it may run after stop() or ~server().
+  c.inflight++;
+  outbox_->enter();
   try {
-    pending p;
-    p.conn_id = c.id;
-    p.request_id = wr.id;
-    p.tid = wr.tid;
-    p.t0 = mono_now();
-    p.fut = ex_.submit(std::move(req));
+    ex_.submit(std::move(req),
+               [box = outbox_, micros = h_request_micros_, conn = c.id,
+                id = wr.id, tid = wr.tid, t0 = mono_now()](
+                   engine::query_result* r, std::exception_ptr err) {
+                 wire_response resp;
+                 if (r != nullptr) {
+                   resp = make_response(id, *r);
+                 } else {
+                   const engine::outcome o = engine::classify(err);
+                   resp = make_error_response(id, o.status, o.message,
+                                              o.retry_after_ms);
+                 }
+                 // Error responses carry the query's id too: a
+                 // deadline-exceeded caller needs exactly this id to fetch
+                 // the post-mortem trace.
+                 if (!resp.tid.valid()) resp.tid = tid;
+                 micros->record(micros_since(t0));
+                 box->post(conn, encode_response_frame(resp));
+               });
     m_requests_->inc();
-    {
-      std::lock_guard<std::mutex> lock(drain_mutex_);
-      inflight_total_++;
-    }
-    c.inflight++;
-    {
-      std::lock_guard<std::mutex> lock(comp_mutex_);
-      comp_queue_.push_back(std::move(p));
-    }
-    comp_cv_.notify_one();
   } catch (...) {
-    // Shed / rejected at admission (the executor recorded it already).
+    // Shed / rejected at admission: the executor recorded it and never
+    // calls the continuation.
+    c.inflight--;
+    outbox_->leave();
     refuse(engine::classify(std::current_exception()));
-  }
-}
-
-void server::completion_loop() {
-  using namespace std::chrono_literals;
-  for (;;) {
-    pending p;
-    {
-      std::unique_lock<std::mutex> lock(comp_mutex_);
-      comp_cv_.wait(lock, [this] { return comp_stop_ || !comp_queue_.empty(); });
-      if (comp_queue_.empty()) {
-        if (comp_stop_) return;
-        continue;
-      }
-      p = std::move(comp_queue_.front());
-      comp_queue_.pop_front();
-    }
-
-    bool abandoned = false;
-    while (p.fut.wait_for(50ms) != std::future_status::ready) {
-      if (abandon_waits_.load(std::memory_order_acquire)) {
-        abandoned = true;  // drain deadline passed; the future is orphaned
-        break;
-      }
-    }
-    if (!abandoned) {
-      wire_response resp;
-      // Read through a shared_future that outlives the handler:
-      // future::get() drops the shared state before the handler runs, and
-      // the executor may then destroy the exception on its own thread while
-      // classify() reads it, ordered only by the exception's refcount
-      // inside the uninstrumented runtime, which TSan cannot see.
-      const std::shared_future<engine::query_result> fut = p.fut.share();
-      try {
-        resp = make_response(p.request_id, fut.get());
-      } catch (...) {
-        const engine::outcome o = engine::classify(std::current_exception());
-        resp = make_error_response(p.request_id, o.status, o.message,
-                                   o.retry_after_ms);
-      }
-      // Error responses carry the id too: make_response stamps it from the
-      // result, the catch arm above cannot — a deadline-exceeded caller
-      // needs exactly this id to fetch the post-mortem trace.
-      if (!resp.tid.valid()) resp.tid = p.tid;
-      h_request_micros_->record(micros_since(p.t0));
-      {
-        std::lock_guard<std::mutex> lock(outbox_mutex_);
-        outbox_.emplace_back(p.conn_id, encode_response_frame(resp));
-      }
-      wake();
-    }
-    {
-      std::lock_guard<std::mutex> lock(drain_mutex_);
-      if (inflight_total_ > 0) inflight_total_--;
-      if (inflight_total_ == 0) drain_cv_.notify_all();
-    }
   }
 }
 

@@ -1,7 +1,7 @@
 // Network query server (docs/NETWORK.md): the connection tier that makes
 // the admission-controlled engine reachable over TCP.
 //
-// Architecture — three kinds of threads, none of them compute threads:
+// Architecture — one thread of its own, and no compute threads:
 //
 //   - One *event-loop* thread owns every socket: it poll()s the query and
 //     HTTP listeners plus all live connections, accepts, reads bytes,
@@ -14,11 +14,13 @@
 //     in-flight cap, protocol errors) are answered from the loop; the
 //     refusals the executor never saw are still recorded in its flight
 //     recorder and trace store (query_executor::observe_refusal).
-//   - A small pool of *completion* threads waits on submitted futures,
-//     converts results or typed engine errors into response frames, and
-//     posts them back to the event loop through an outbox + wake pipe (the
-//     loop alone touches sockets, so no socket ever sees two writers).
-//   - The executor's own dispatchers/pool run the query bodies, untouched.
+//   - The executor's own dispatchers/pool/watchdog run the query bodies,
+//     untouched. Each admitted request carries a continuation
+//     (query_executor::submit(req, on_settle)) that runs on whichever
+//     thread settles the query: it classifies the outcome, encodes the
+//     response frame, and posts it to an outbox + wake pipe under one
+//     mutex. The loop alone touches sockets, so no socket ever sees two
+//     writers.
 //
 // Responses may complete out of submission order on a pipelined
 // connection; the request's correlation id is echoed so clients match them
@@ -38,16 +40,17 @@
 // stop() is a graceful drain: listeners close first (no new connections),
 // new request frames are answered `shutting_down`, then stop() waits up to
 // drain_deadline for in-flight queries to finish before tearing sockets
-// down. Failpoints net.accept / net.read / net.write inject connection
-// faults at each I/O boundary (docs/ROBUSTNESS.md).
+// down. The outbox is per start(): a query still running past the deadline
+// settles later into the closed one, which drops its response, even after
+// the server is restarted or destroyed. Failpoints net.accept / net.read /
+// net.write inject connection faults at each I/O boundary
+// (docs/ROBUSTNESS.md).
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -58,7 +61,6 @@
 #include "engine/executor.h"
 #include "net/protocol.h"
 #include "obs/metrics.h"
-#include "util/timer.h"
 
 namespace ligra::net {
 
@@ -72,9 +74,6 @@ struct server_options {
   // Request frames in flight per connection before the server answers
   // `rejected` with retry_after advice instead of admitting more.
   size_t max_inflight_per_conn = 32;
-  // Threads waiting on executor futures; bounds how many blocked waits the
-  // server holds, not how many queries run (the executor does that).
-  size_t completion_threads = 2;
   size_t max_connections = 256;
   // How long stop() waits for in-flight queries before tearing down.
   std::chrono::milliseconds drain_deadline{5000};
@@ -90,8 +89,8 @@ class server {
   server(const server&) = delete;
   server& operator=(const server&) = delete;
 
-  // Binds the listeners and starts the event loop + completion threads.
-  // Throws std::runtime_error on bind/listen failure.
+  // Binds the listeners and starts the event loop. Throws
+  // std::runtime_error on bind/listen failure.
   void start();
 
   // Graceful drain (see header comment). Idempotent; safe from any thread
@@ -119,20 +118,10 @@ class server {
     bool close_after_flush = false;
   };
 
-  // A submitted query whose future a completion thread is waiting on.
-  struct pending {
-    uint64_t conn_id = 0;
-    uint64_t request_id = 0;
-    // The query's correlation id (client-sent or server-minted) — stamped
-    // onto the response frame even when the future resolves to an error,
-    // so a remote caller can GET /traces/<id> post-mortem.
-    obs::trace_id tid{};
-    std::future<engine::query_result> fut;
-    monotonic_time t0;
-  };
+  // Where continuations post responses; one per start() (server.cc).
+  struct outbox;
 
   void event_loop();
-  void completion_loop();
   void accept_ready(int listen_fd, bool http);
   // Reads until EAGAIN; returns false when the connection must close.
   bool read_ready(connection& c);
@@ -158,30 +147,15 @@ class server {
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
   std::atomic<bool> terminate_{false};
-  std::atomic<bool> abandon_waits_{false};
   std::thread event_thread_;
-  std::vector<std::thread> completion_threads_;
 
   // Event-loop-owned (no lock): live connections by id.
   std::unordered_map<uint64_t, std::unique_ptr<connection>> conns_;
   uint64_t next_conn_id_ = 1;
 
-  // Completion queue: event loop pushes pending futures, workers pop.
-  std::mutex comp_mutex_;
-  std::condition_variable comp_cv_;
-  std::deque<pending> comp_queue_;
-  bool comp_stop_ = false;
-
-  // Outbox: workers push finished response frames, the event loop drains
-  // them into per-connection output queues after a wake.
-  std::mutex outbox_mutex_;
-  std::vector<std::pair<uint64_t, std::vector<char>>> outbox_;
-
-  // Queries submitted to the executor whose responses have not been
-  // enqueued yet; stop() waits for this to reach zero.
-  std::mutex drain_mutex_;
-  std::condition_variable drain_cv_;
-  size_t inflight_total_ = 0;
+  // Set by start() and dropped by stop() after the event loop exits; each
+  // continuation holds its own reference.
+  std::shared_ptr<outbox> outbox_;
 
   std::mutex stop_mutex_;  // serializes stop() callers
 

@@ -63,8 +63,16 @@ thread_local int tl_worker_id = -1;
 
 // Parking lot shared by all pool generations. Correctness does not depend on
 // wakeup delivery (waits are timed); the condvar only cuts idle-spin CPU.
-std::mutex park_mutex;
-std::condition_variable park_cv;
+// Never destroyed: the global pool's workers are never joined, so they may
+// still be parked here while static destructors run at exit.
+struct parking_lot {
+  std::mutex mutex;
+  std::condition_variable cv;
+};
+parking_lot& park() {
+  static parking_lot* lot = new parking_lot;
+  return *lot;
+}
 
 // Guards construction / replacement of the global instance. `g_published`
 // is the lock-free fast path; it is only written under `instance_mutex`.
@@ -121,8 +129,8 @@ scheduler::scheduler(int num_workers) : num_workers_(num_workers) {
 scheduler::~scheduler() {
   shutdown_.store(true, std::memory_order_release);
   {
-    std::lock_guard<std::mutex> lock(park_mutex);
-    park_cv.notify_all();
+    std::lock_guard<std::mutex> lock(park().mutex);
+    park().cv.notify_all();
   }
   for (int i = 1; i < num_workers_; i++) {
     threads_[i - 1].join();
@@ -189,8 +197,8 @@ void scheduler::worker_loop(int id) {
     counters_[id].parks.fetch_add(1, std::memory_order_relaxed);
     sleepers_.fetch_add(1, std::memory_order_seq_cst);
     {
-      std::unique_lock<std::mutex> lock(park_mutex);
-      park_cv.wait_for(lock, std::chrono::milliseconds(1));
+      std::unique_lock<std::mutex> lock(park().mutex);
+      park().cv.wait_for(lock, std::chrono::milliseconds(1));
     }
     sleepers_.fetch_sub(1, std::memory_order_relaxed);
   }
@@ -210,7 +218,7 @@ void scheduler::fork_join(internal::task* t, void (*left)(void*),
     t->execute();
     return;
   }
-  if (sleepers_.load(std::memory_order_seq_cst) > 0) park_cv.notify_one();
+  if (sleepers_.load(std::memory_order_seq_cst) > 0) park().cv.notify_one();
 
   left(left_arg);
 
@@ -248,8 +256,8 @@ void scheduler::run_external(void (*f)(void*), void* arg) {
     external_pending_.fetch_add(1, std::memory_order_release);
   }
   {
-    std::lock_guard<std::mutex> lock(park_mutex);
-    park_cv.notify_all();
+    std::lock_guard<std::mutex> lock(park().mutex);
+    park().cv.notify_all();
   }
   // The submitting thread is foreign — it cannot help the pool, so wait
   // cheaply: brief yielding for short tasks, then coarse sleeps (queries

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -606,9 +607,12 @@ struct child_run {
 child_run run_child(const std::string& dir, int batches,
                     const std::string& failpoints,
                     const std::string& fsync = "always") {
+  // The pid keeps the file apart from other test processes' runs (ctest -j
+  // runs every test in its own process, each counting from 0).
   static int run_id = 0;
-  const std::string out =
-      ::testing::TempDir() + "/child_out_" + std::to_string(run_id++);
+  const std::string out = ::testing::TempDir() + "/child_out_" +
+                          std::to_string(::getpid()) + "_" +
+                          std::to_string(run_id++);
   std::string cmd = "LIGRA_FAILPOINTS='" + failpoints + "' '" +
                     DURABILITY_CHILD_PATH + "' '" + dir + "' " +
                     std::to_string(batches) + " " + fsync + " 4 > '" + out +

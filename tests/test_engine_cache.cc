@@ -190,26 +190,9 @@ TEST(EngineCache, GetManyRefreshesRecency) {
   EXPECT_NE(cache.get(key(1, 1)), nullptr);
 }
 
-TEST(EngineCache, PutManyInsertsRefreshesAndEvicts) {
-  e::result_cache cache(3);
-  cache.put(key(1, 1), value(1));
-  cache.put(key(1, 2), value(2));
-  cache.put_many({{key(1, 1), value(10)},   // refresh, not insert
-                  {key(1, 3), value(3)},    // insert (fills capacity)
-                  {key(1, 4), value(4)}});  // insert (evicts LRU = 2)
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.get(key(1, 1))->value, 10);
-  EXPECT_EQ(cache.get(key(1, 2)), nullptr);
-  EXPECT_EQ(cache.get(key(1, 3))->value, 3);
-  EXPECT_EQ(cache.get(key(1, 4))->value, 4);
-  auto c = cache.counters();
-  EXPECT_EQ(c.insertions, 4u);  // 2 singular + 2 batched
-  EXPECT_EQ(c.evictions, 1u);
-}
-
 TEST(EngineCache, BatchedAccessorsNoOpWhenDisabled) {
   e::result_cache cache(0);
-  cache.put_many({{key(1, 1), value(1)}});
+  cache.put(key(1, 1), value(1));
   auto found = cache.get_many({key(1, 1)});
   ASSERT_EQ(found.size(), 1u);
   EXPECT_EQ(found[0], nullptr);
@@ -219,7 +202,6 @@ TEST(EngineCache, BatchedAccessorsNoOpWhenDisabled) {
 TEST(EngineCache, EmptyBatchesAreHarmless) {
   e::result_cache cache(4);
   EXPECT_TRUE(cache.get_many({}).empty());
-  cache.put_many({});
   auto c = cache.counters();
   EXPECT_EQ(c.hits + c.misses + c.insertions, 0u);
 }

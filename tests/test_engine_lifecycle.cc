@@ -1,11 +1,12 @@
 // Randomized lifecycle property test (docs/ENGINE.md "One lifecycle",
-// docs/ROBUSTNESS.md): in-process submit()/run() and loopback-wire queries
-// race caller cancels, short deadlines (watchdog and polling), the
-// batch.fanout and executor.dispatch failpoints, invalid vertices, unknown
-// graphs, and load shedding — with coalescing off (batch_max 1) and on
-// (batch_max 64). For every query:
-//   - its future settles exactly once, and exactly one flight-recorder and
-//     one trace-store record carries its id;
+// docs/ROBUSTNESS.md): in-process submit() (future and continuation forms),
+// run(), and loopback-wire queries race caller cancels, short deadlines
+// (watchdog and polling), the batch.fanout and executor.dispatch
+// failpoints, invalid vertices, unknown graphs, and load shedding — with
+// coalescing off (batch_max 1) and on (batch_max 64). For every query:
+//   - it settles exactly once (a refused submit() never calls on_settle),
+//     and exactly one flight-recorder and one trace-store record carries
+//     its id;
 //   - the exception it ended with matches the type rethrow(status) builds;
 //   - the status the caller saw (future or wire response) names the
 //     outcome in the flight recorder and in the trace store.
@@ -13,6 +14,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <future>
 #include <map>
 #include <memory>
@@ -78,6 +80,28 @@ seen settle(const obs::trace_id& tid, std::exception_ptr err, bool wire) {
   return s;
 }
 
+// What submit(req, on_settle) delivered: the call count and the error.
+struct continuation {
+  std::atomic<int> calls{0};
+  std::exception_ptr err;  // written before `calls` is released
+  bool admitted = false;   // submit() returned instead of throwing
+
+  e::settle_fn fn() {
+    return [this](e::query_result*, std::exception_ptr got) {
+      err = std::move(got);
+      calls.fetch_add(1, std::memory_order_release);
+    };
+  }
+  bool wait_for_call(std::chrono::seconds limit) const {
+    const auto until = std::chrono::steady_clock::now() + limit;
+    while (calls.load(std::memory_order_acquire) == 0) {
+      if (std::chrono::steady_clock::now() > until) return false;
+      std::this_thread::sleep_for(100us);
+    }
+    return true;
+  }
+};
+
 std::type_index type_of(const std::exception_ptr& err) {
   try {
     std::rethrow_exception(err);
@@ -132,6 +156,9 @@ TEST_P(EngineLifecycle, EveryQuerySettlesOnceWithOneOutcomeEverywhere) {
   };
 
   std::vector<seen> all;
+  // Every continuation handed to submit(), refused or not; checked once
+  // the executor is idle. A deque: its elements never move.
+  std::deque<continuation> continuations;
   for (size_t wave = 0; wave < kWaves; wave++) {
     blocker b;
     std::future<e::query_result> held;
@@ -174,7 +201,8 @@ TEST_P(EngineLifecycle, EveryQuerySettlesOnceWithOneOutcomeEverywhere) {
 
     struct pending {
       obs::trace_id tid;
-      std::future<e::query_result> fut;
+      std::future<e::query_result> fut;  // or, when null, `settled`
+      continuation* settled = nullptr;
       std::unique_ptr<e::cancel_source> cancel;
     };
     std::vector<pending> submitted;
@@ -220,10 +248,20 @@ TEST_P(EngineLifecycle, EveryQuerySettlesOnceWithOneOutcomeEverywhere) {
         continue;
       }
       const obs::trace_id tid = q.tid;
+      // Every other query uses the continuation form directly (by index,
+      // so the random draws stay the same).
+      continuation* settled =
+          i % 2 == 1 ? &continuations.emplace_back() : nullptr;
       try {
-        auto fut = ex.submit(std::move(q));
+        std::future<e::query_result> fut;
+        if (settled != nullptr) {
+          ex.submit(std::move(q), settled->fn());
+          settled->admitted = true;
+        } else {
+          fut = ex.submit(std::move(q));
+        }
         if (cancel && next(2) == 0) cancel->request_cancel();  // racing
-        submitted.push_back({tid, std::move(fut), std::move(cancel)});
+        submitted.push_back({tid, std::move(fut), settled, std::move(cancel)});
       } catch (...) {
         all.push_back(settle(tid, std::current_exception(), /*wire=*/false));
       }
@@ -231,17 +269,24 @@ TEST_P(EngineLifecycle, EveryQuerySettlesOnceWithOneOutcomeEverywhere) {
 
     if (hold) b.release.set_value();
     for (auto& p : submitted) {
-      if (p.fut.wait_for(30s) != std::future_status::ready) {
-        ADD_FAILURE() << "future never settled: " << p.tid.to_hex();
+      const bool ready = p.settled != nullptr
+                             ? p.settled->wait_for_call(30s)
+                             : p.fut.wait_for(30s) == std::future_status::ready;
+      if (!ready) {
+        ADD_FAILURE() << "query never settled: " << p.tid.to_hex();
         continue;  // keep going: the wire thread must still be joined
       }
       // `all` keeps each exception alive until the test ends, so it is
       // never destroyed on a dispatcher while this thread reads it.
       std::exception_ptr err;
-      try {
-        p.fut.get();
-      } catch (...) {
-        err = std::current_exception();
+      if (p.settled != nullptr) {
+        err = p.settled->err;
+      } else {
+        try {
+          p.fut.get();
+        } catch (...) {
+          err = std::current_exception();
+        }
       }
       all.push_back(settle(p.tid, err, /*wire=*/false));
     }
@@ -252,6 +297,9 @@ TEST_P(EngineLifecycle, EveryQuerySettlesOnceWithOneOutcomeEverywhere) {
   fp::disarm_all();
   ex.wait_idle();  // late (watchdog-settled) bodies record when they exit
   srv.stop();
+  for (const auto& k : continuations)
+    EXPECT_EQ(k.calls.load(), k.admitted ? 1 : 0)
+        << (k.admitted ? "settled more than once" : "refused, yet settled");
 
   std::map<std::string, std::vector<std::string>> flight, kept;
   for (const auto& f : flightrec.snapshot())

@@ -703,9 +703,16 @@ TEST_F(NetTest, GracefulStopDrainsAndRefusesNewWork) {
 
   n::client c;
   c.connect("127.0.0.1", port);
-  EXPECT_NO_THROW(c.run(bfs_request(0, 0, 1)));
+  EXPECT_FALSE(c.run(bfs_request(0, 0, 1)).cache_hit);
+  // The repeat is a cache hit: it settles inside submit(), on the event
+  // loop, before submit() returns. Counted in flight only afterwards, it
+  // would stay counted and hold stop() for the whole drain_deadline.
+  EXPECT_TRUE(c.run(bfs_request(1, 0, 1)).cache_hit);
 
+  const auto t0 = std::chrono::steady_clock::now();
   srv.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 500ms)
+      << "nothing was in flight; stop() must not wait out drain_deadline";
   EXPECT_FALSE(srv.running());
   EXPECT_EQ(srv.connections(), 0u);
 
@@ -719,6 +726,73 @@ TEST_F(NetTest, GracefulStopDrainsAndRefusesNewWork) {
   n::client again;
   again.connect("127.0.0.1", srv.port());
   EXPECT_NO_THROW(again.run(bfs_request(0, 0, 3)));
+  srv.stop();
+}
+
+TEST_F(NetTest, QueryRunningPastTheDrainSettlesIntoAClosedOutbox) {
+  if (!fp::compiled_in()) GTEST_SKIP() << "failpoints compiled out";
+  e::registry reg;
+  reg.add("g", small_graph());
+  e::query_executor ex(reg, {.cache_capacity = 0});
+  n::server_options sopts;
+  sopts.drain_deadline = 50ms;
+
+  // Sends one wire query whose body sleeps 500 ms and returns once it runs.
+  auto send_slow_query = [&](n::server& srv, uint64_t id) {
+    fp::spec s;
+    s.act = fp::action::sleep_ms;
+    s.sleep_millis = 500;
+    s.count = 1;
+    fp::arm("executor.dispatch", s);
+    int fd = raw_connect(srv.port());
+    auto f = n::encode_request_frame(bfs_request(id, 0, 1));
+    raw_send(fd, f.data(), f.size());
+    while (ex.stats().running == 0) std::this_thread::yield();
+    return fd;
+  };
+  auto stop_within_deadline = [](n::server& srv) {
+    const auto t0 = std::chrono::steady_clock::now();
+    srv.stop();
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, 400ms)
+        << "stop() must give up on the query at drain_deadline";
+  };
+
+  // Destroyed: the continuation outlives the server that made it.
+  {
+    n::server srv(ex, sopts);
+    srv.start();
+    const int fd = send_slow_query(srv, 76);
+    stop_within_deadline(srv);
+    ::close(fd);
+  }
+  EXPECT_EQ(ex.stats().running, 1u) << "the body must still be running";
+  ex.wait_idle();
+  EXPECT_EQ(ex.stats().completed, 1u);
+
+  // Restarted: the stale query settles into the old outbox, and the new
+  // server never sends its response.
+  n::server srv(ex, sopts);
+  srv.start();
+  const int stale = send_slow_query(srv, 77);
+  stop_within_deadline(srv);
+  ::close(stale);
+  srv.start();
+  const int fd = raw_connect(srv.port());
+  EXPECT_EQ(ex.stats().running, 1u) << "the body must still be running";
+  ex.wait_idle();
+  EXPECT_EQ(ex.stats().completed, 2u);
+
+  auto f = n::encode_request_frame(bfs_request(78, 0, 2));
+  raw_send(fd, f.data(), f.size());
+  auto resp = raw_read_responses(fd, 1);
+  ASSERT_EQ(resp.size(), 1u);
+  EXPECT_EQ(resp[0].id, 78u);
+  EXPECT_EQ(resp[0].status, n::wire_status::ok);
+  timeval tv{0, 200 * 1000};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  char byte;
+  EXPECT_LT(::recv(fd, &byte, 1, 0), 0) << "a stale response arrived";
+  ::close(fd);
   srv.stop();
 }
 
