@@ -1,11 +1,13 @@
 #include "apps/kcore.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "ligra/bucket.h"
 #include "ligra/edge_map.h"
 #include "ligra/vertex_map.h"
 #include "parallel/atomics.h"
+#include "parallel/primitives.h"
 
 namespace ligra::apps {
 
@@ -48,47 +50,55 @@ kcore_result kcore(const graph& g, const std::function<void()>& poll) {
   };
   auto buckets = make_buckets(n, get_bucket, /*num_open=*/128);
 
+  // Per-round gather buffers, reused across rounds: `slice` holds each
+  // peeled vertex's offset into `gathered`, `kept` how many neighbors it
+  // wrote there (then, scanned, its offset into `affected`).
+  std::vector<size_t> slice, kept;
+  std::vector<uint32_t> gathered, affected;
   size_t finished = 0;
   while (finished < n) {
     if (poll) poll();
     auto popped = buckets.next_bucket();
     if (!popped) break;
     const vertex_id k = static_cast<vertex_id>(popped->bucket);
+    const std::vector<uint32_t>& peeled = popped->ids;
+    const size_t m = peeled.size();
     result.num_rounds++;
-    finished += popped->ids.size();
+    finished += m;
     if (k > result.max_core) result.max_core = k;
 
     // Peel: fix coreness, mark dead, decrement live neighbors (clamped at
     // k) and collect them for re-bucketing.
-    parallel::parallel_for(0, popped->ids.size(), [&](size_t i) {
-      vertex_id v = popped->ids[i];
+    parallel::parallel_for(0, m, [&](size_t i) {
+      vertex_id v = peeled[i];
       result.coreness[v] = k;
       alive[v] = 0;
     });
     // Gather affected neighbors (with duplicates; the bucket structure
-    // deduplicates lazily at pop time).
-    std::vector<std::vector<uint32_t>> per_vertex(popped->ids.size());
-    parallel::parallel_for(
-        0, popped->ids.size(),
-        [&](size_t i) {
-          vertex_id v = popped->ids[i];
-          auto& out = per_vertex[i];
-          for (vertex_id u : g.out_neighbors(v)) {
-            if (!atomic_load(&alive[u])) continue;
-            vertex_id nd = decrement_to_floor(&degree[u], k);
-            if (nd >= k) out.push_back(u);
-          }
-        });
-    size_t total = 0;
-    std::vector<size_t> offset(per_vertex.size());
-    for (size_t i = 0; i < per_vertex.size(); i++) {
-      offset[i] = total;
-      total += per_vertex[i].size();
-    }
-    std::vector<uint32_t> affected(total);
-    parallel::parallel_for(0, per_vertex.size(), [&](size_t i) {
-      std::copy(per_vertex[i].begin(), per_vertex[i].end(),
-                affected.begin() + static_cast<ptrdiff_t>(offset[i]));
+    // deduplicates lazily at pop time) into one flat buffer: each peeled
+    // vertex owns a slice as long as its degree and writes its surviving
+    // neighbors at the slice's front; a pack then joins the slices.
+    slice.resize(m);
+    kept.resize(m + 1);
+    parallel::parallel_for(0, m, [&](size_t i) {
+      slice[i] = g.out_degree(peeled[i]);
+    });
+    gathered.resize(parallel::scan_add_inplace(slice));
+    parallel::parallel_for(0, m, [&](size_t i) {
+      uint32_t* out = gathered.data() + slice[i];
+      size_t count = 0;
+      for (vertex_id u : g.out_neighbors(peeled[i])) {
+        if (!atomic_load(&alive[u])) continue;
+        if (decrement_to_floor(&degree[u], k) >= k) out[count++] = u;
+      }
+      kept[i] = count;
+    });
+    kept[m] = 0;
+    affected.resize(parallel::scan_add_inplace(kept));
+    parallel::parallel_for(0, m, [&](size_t i) {
+      std::copy_n(gathered.begin() + static_cast<ptrdiff_t>(slice[i]),
+                  kept[i + 1] - kept[i],
+                  affected.begin() + static_cast<ptrdiff_t>(kept[i]));
     });
     buckets.update_buckets(affected);
   }

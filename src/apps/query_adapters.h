@@ -1,8 +1,11 @@
-// Thin value-returning query adapters over the applications — the surface
-// the concurrent query engine (src/engine/) executes. Each adapter maps
-// (graph, params) to a compact answer instead of a full per-vertex result
-// vector, validates its parameters, and throws std::invalid_argument on
-// out-of-range vertices so engine futures carry diagnosable errors.
+// Thin value-returning query adapters over the applications. The
+// concurrent query engine (src/engine/) executes the bfs, sssp and triangle
+// ones; it answers cc, coreness and top-k from per-epoch arrays
+// (graph_entry), and these adapters stay as the reference for those. Each
+// adapter maps (graph, params) to a compact answer instead of a full
+// per-vertex result vector, validates its parameters, and throws
+// std::invalid_argument on out-of-range vertices so engine futures carry
+// diagnosable errors.
 //
 // Every adapter takes an optional engine::cancel_token and polls it at
 // round boundaries of the underlying app (deadline/cancellation latency is
@@ -36,8 +39,8 @@ std::vector<std::pair<vertex_id, double>> pagerank_topk(
 
 // pagerank_topk's extraction phase over an arbitrary rank vector — rank
 // descending, ties broken by vertex id, k clamped to rank.size(). Exposed
-// so the engine can serve top-k straight from a mutable entry's converged
-// per-epoch ranks without rerunning PageRank.
+// so the engine can serve top-k straight from an epoch's ranks
+// (graph_entry::ranks()) without rerunning PageRank.
 std::vector<std::pair<vertex_id, double>> topk_ranks(
     const std::vector<double>& rank, size_t k);
 

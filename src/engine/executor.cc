@@ -158,12 +158,16 @@ query_result query_executor::execute(const query_request& req,
                                      const cancel_token& token) {
   query_result r;
   r.kind = req.kind;
-  // Mutable entries answer BFS over the live base+delta view, and cc / top-k
-  // straight from the epoch's converged incremental state (O(1) / O(n)
-  // instead of a full traversal). Coreness and triangles fall through to
-  // structure(), which lazily materializes the merged CSR.
+  // cc, coreness and top-k read the epoch's analytics arrays, filled once
+  // per epoch on first use (docs/ENGINE.md "Per-epoch analytics"). The fill
+  // polls no query's token, so this one is polled once the array is ready.
+  auto ready = [&token](const auto& array) -> const auto& {
+    token.poll();
+    return array;
+  };
   switch (req.kind) {
     case query_kind::bfs_distance:
+      // Mutable entries traverse the live base+delta view.
       if (e.is_mutable()) {
         check_vertex("bfs_hop_distance source", req.source, e.num_vertices());
         check_vertex("bfs_hop_distance target", req.target, e.num_vertices());
@@ -178,23 +182,16 @@ query_result query_executor::execute(const query_request& req,
       r.value = apps::sssp_distance(e.weights(), req.source, req.target, token);
       break;
     case query_kind::pagerank_topk:
-      if (e.is_mutable()) {
-        r.topk = apps::topk_ranks(e.inc()->pr_rank, req.k);
-      } else {
-        r.topk = apps::pagerank_topk(e.structure(), req.k, token);
-      }
+      r.topk = apps::topk_ranks(ready(e.ranks()), req.k);
       r.value = static_cast<int64_t>(r.topk.size());
       break;
     case query_kind::component_id:
-      if (e.is_mutable()) {
-        check_vertex("component_id", req.source, e.num_vertices());
-        r.value = e.inc()->cc_labels[req.source];
-      } else {
-        r.value = apps::component_id(e.structure(), req.source, token);
-      }
+      check_vertex("component_id", req.source, e.num_vertices());
+      r.value = ready(e.labels())[req.source];
       break;
     case query_kind::coreness:
-      r.value = apps::vertex_coreness(e.structure(), req.source, token);
+      check_vertex("vertex_coreness", req.source, e.num_vertices());
+      r.value = ready(e.coreness())[req.source];
       break;
     case query_kind::triangle_count:
       r.value = static_cast<int64_t>(apps::count_triangles(e.structure(), token));

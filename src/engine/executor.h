@@ -285,9 +285,9 @@ class query_executor {
   // if none. Caller holds mutex_.
   std::deque<job_ptr>::iterator find_eligible_locked();
   // The query body proper; throws on bad requests. A member (not static)
-  // because the `update` kind routes through registry_.apply_updates;
-  // mutable entries additionally answer bfs/cc/pagerank from the live view
-  // and the epoch's converged incremental state.
+  // because the `update` kind routes through registry_.apply_updates. cc,
+  // coreness and top-k are lookups into the entry's per-epoch analytics;
+  // mutable entries answer bfs over the live base+delta view.
   query_result execute(const query_request& req, const graph_entry& e,
                        const cancel_token& token);
   static cache_key make_key(const query_request& req, uint64_t epoch);

@@ -1,14 +1,19 @@
 #include "engine/registry.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <fstream>
 #include <new>
 #include <thread>
 #include <utility>
 
+#include "apps/components.h"
+#include "apps/kcore.h"
+#include "apps/pagerank.h"
 #include "graph/graph_io.h"
 #include "obs/log.h"
+#include "obs/trace.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -54,7 +59,66 @@ std::chrono::milliseconds backoff_for(const retry_options& r, size_t attempt) {
   return std::chrono::milliseconds(ms - half + jitter);
 }
 
+// The per-epoch arrays, by the `kind` label of their metrics.
+enum fill_kind : size_t { kFillLabels, kFillCoreness, kFillRanks, kNumFills };
+constexpr std::array<const char*, kNumFills> kFillKindNames = {
+    "cc", "coreness", "pagerank"};
+
 }  // namespace
+
+struct epoch_fill_metrics {
+  std::array<obs::counter*, kNumFills> fills{};     // engine_epoch_fills_total
+  std::array<obs::histogram*, kNumFills> micros{};  // engine_epoch_fill_micros
+  obs::gauge* memory_bytes = nullptr;               // engine_graph_memory_bytes
+};
+
+namespace {
+
+// Fills `slot` through `compute`, with the fill span, the epoch.fill
+// failpoint, and the engine_epoch_fill* metrics of `kind` (none when
+// `metrics` is null).
+template <class T, class Compute>
+const std::vector<T>& fill(lazy_fill<std::vector<T>>& slot,
+                           const epoch_fill_metrics* metrics, size_t kind,
+                           Compute&& compute) {
+  return slot.get([&] {
+    // In the trace of the query that runs the fill, so a slow first query
+    // on an epoch explains itself.
+    obs::span_scope span("fill");
+    if (LIGRA_FAILPOINT("epoch.fill"))
+      throw engine_error("injected epoch fill failure (failpoint epoch.fill)");
+    const monotonic_time t0 = mono_now();
+    std::vector<T> out = compute();
+    if (metrics != nullptr) {
+      metrics->fills[kind]->inc();
+      metrics->micros[kind]->record(static_cast<uint64_t>(micros_since(t0)));
+      // Recomputed from the resident entries at the next load, update or
+      // eviction; until then the gauge grows by each fill.
+      metrics->memory_bytes->add(static_cast<int64_t>(out.size() * sizeof(T)));
+    }
+    return out;
+  });
+}
+
+}  // namespace
+
+const std::vector<vertex_id>& graph_entry::labels() const {
+  if (inc_ != nullptr) return inc_->cc_labels;
+  return fill(labels_, fill_metrics_.get(), kFillLabels, [this] {
+    return apps::connected_components(structure()).labels;
+  });
+}
+
+const std::vector<vertex_id>& graph_entry::coreness() const {
+  return fill(core_, fill_metrics_.get(), kFillCoreness,
+              [this] { return apps::kcore(structure()).coreness; });
+}
+
+const std::vector<double>& graph_entry::ranks() const {
+  if (inc_ != nullptr) return inc_->pr_rank;
+  return fill(ranks_, fill_metrics_.get(), kFillRanks,
+              [this] { return apps::pagerank(structure()).rank; });
+}
 
 registry::registry(obs::metrics_registry* metrics) : metrics_(metrics) {
   if (metrics_ != nullptr) {
@@ -71,6 +135,16 @@ registry::registry(obs::metrics_registry* metrics) : metrics_(metrics) {
     m_update_micros_ = &metrics_->get_histogram("engine_graph_update_micros");
     m_resident_ = &metrics_->get_gauge("engine_graphs_resident");
     m_memory_bytes_ = &metrics_->get_gauge("engine_graph_memory_bytes");
+    auto fm = std::make_shared<epoch_fill_metrics>();
+    for (size_t k = 0; k < kNumFills; k++) {
+      const std::string label =
+          std::string("{kind=\"") + kFillKindNames[k] + "\"}";
+      fm->fills[k] = &metrics_->get_counter("engine_epoch_fills_total" + label);
+      fm->micros[k] =
+          &metrics_->get_histogram("engine_epoch_fill_micros" + label);
+    }
+    fm->memory_bytes = m_memory_bytes_;
+    fill_metrics_ = std::move(fm);
   }
 }
 
@@ -365,6 +439,7 @@ graph_handle registry::apply_once(const std::string& name,
 
 graph_handle registry::insert(std::shared_ptr<graph_entry> e) {
   e->epoch_ = next_epoch_.fetch_add(1, std::memory_order_relaxed);
+  e->fill_metrics_ = fill_metrics_;
   graph_handle h = std::move(e);
   {
     std::unique_lock lock(mutex_);

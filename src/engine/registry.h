@@ -18,9 +18,14 @@
 // byte-coded Ligra+ replica of the structure is kept alongside and reported
 // in entry_info — the space/residency trade the memory-tiering follow-up
 // will act on.
+//
+// Every entry also carries its epoch's whole-graph analytics — cc labels,
+// coreness, PageRank ranks — each filled once, on first use, and freed with
+// the entry (docs/ENGINE.md "Per-epoch analytics").
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -93,6 +98,56 @@ class update_error : public engine_error {
   size_t attempts;
 };
 
+// A value computed at most once, on first use, by a single-flight fill.
+// Concurrent first callers wait for the fill in flight. A fill that throws
+// publishes nothing, and its exception reaches only the caller that ran it;
+// the next caller (a waiter or a later one) fills again.
+template <class T>
+class lazy_fill {
+ public:
+  template <class Fill>
+  const T& get(Fill&& fill) {
+    if (ready()) return *value_;
+    std::unique_lock lock(mutex_);
+    cv_.wait(lock, [this] { return !filling_; });
+    if (ready()) return *value_;
+    filling_ = true;
+    lock.unlock();
+    std::optional<T> v;
+    try {
+      v.emplace(fill());
+    } catch (...) {
+      lock.lock();
+      filling_ = false;
+      cv_.notify_all();
+      throw;
+    }
+    lock.lock();
+    value_ = std::move(v);
+    ready_.store(true, std::memory_order_release);
+    filling_ = false;
+    cv_.notify_all();
+    return *value_;
+  }
+
+  // The value once a fill has published it, else null. Reads only the
+  // ready flag, so it never races a fill still running.
+  const T* peek() const { return ready() ? &*value_ : nullptr; }
+
+ private:
+  bool ready() const { return ready_.load(std::memory_order_acquire); }
+
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool filling_ = false;  // guarded by mutex_
+  std::atomic<bool> ready_{false};
+  std::optional<T> value_;  // written once, before ready_ is set
+};
+
+// The engine_epoch_fill* metric handles every entry of one registry shares
+// (registry.cc).
+struct epoch_fill_metrics;
+
 // An immutable resident graph plus metadata. Handed out as
 // shared_ptr<const graph_entry>; whoever holds one keeps the graph alive.
 class graph_entry {
@@ -138,13 +193,32 @@ class graph_entry {
     return cg_ ? &*cg_ : nullptr;
   }
 
+  // The epoch's whole-graph analytics, one value per vertex
+  // (docs/ENGINE.md "Per-epoch analytics"): connected-component labels
+  // (smallest vertex id in the component), coreness, and PageRank ranks —
+  // the arrays apps::connected_components, apps::kcore and apps::pagerank
+  // return on structure(). Each is computed on first use by one
+  // single-flight fill that polls no caller's token, then served to every
+  // query on this epoch. Mutable entries answer labels() and ranks() from
+  // inc() and fill only coreness(). A failed fill publishes nothing and
+  // throws to the caller that ran it; the next call fills again. Labels and
+  // coreness require a symmetric graph (std::invalid_argument otherwise).
+  const std::vector<vertex_id>& labels() const;
+  const std::vector<vertex_id>& coreness() const;
+  const std::vector<double>& ranks() const;
+
   // Resident footprint: plain CSR (+ weighted CSR) for static entries,
-  // base CSR + overlay for mutable ones. Deliberately excludes the lazily
+  // base CSR + overlay for mutable ones, plus each filled analytics array
+  // once its fill has published. Deliberately excludes the lazily
   // materialized structural view — reading its presence here would race
   // with a concurrent first materialization.
   size_t memory_bytes() const {
-    if (dyn_) return dyn_->memory_bytes();
-    return g_.memory_bytes() + (wg_ ? wg_->memory_bytes() : 0);
+    size_t bytes = dyn_ ? dyn_->memory_bytes()
+                        : g_.memory_bytes() + (wg_ ? wg_->memory_bytes() : 0);
+    if (const auto* a = labels_.peek()) bytes += a->size() * sizeof(vertex_id);
+    if (const auto* a = core_.peek()) bytes += a->size() * sizeof(vertex_id);
+    if (const auto* a = ranks_.peek()) bytes += a->size() * sizeof(double);
+    return bytes;
   }
   // Footprint of the compressed replica (0 if none).
   size_t compressed_bytes() const { return cg_ ? cg_->memory_bytes() : 0; }
@@ -160,6 +234,11 @@ class graph_entry {
   std::shared_ptr<const dynamic::inc_state> inc_;
   mutable std::once_flag mat_once_;
   mutable std::optional<graph> mat_;  // lazy merged CSR (mutable entries)
+  mutable lazy_fill<std::vector<vertex_id>> labels_;  // static entries only
+  mutable lazy_fill<std::vector<vertex_id>> core_;
+  mutable lazy_fill<std::vector<double>> ranks_;  // static entries only
+  // Null when the registry has no metrics.
+  std::shared_ptr<const epoch_fill_metrics> fill_metrics_;
 };
 
 using graph_handle = std::shared_ptr<const graph_entry>;
@@ -184,8 +263,11 @@ class registry {
   // With `metrics` set, the residency layer publishes into the registry:
   // load outcome counters (engine_graph_loads_total / _load_retries_total /
   // _load_failures_total), the engine_graph_load_micros histogram,
-  // engine_graphs_resident + engine_graph_memory_bytes gauges, and a
-  // per-graph engine_graph_epoch{graph="..."} gauge (docs/OBSERVABILITY.md).
+  // engine_graphs_resident + engine_graph_memory_bytes gauges, a per-graph
+  // engine_graph_epoch{graph="..."} gauge, and per-kind
+  // engine_epoch_fills_total / engine_epoch_fill_micros for the entries'
+  // analytics fills (docs/OBSERVABILITY.md). `metrics` must outlive the
+  // registry and every handle it hands out.
   explicit registry(obs::metrics_registry* metrics = nullptr);
   registry(const registry&) = delete;
   registry& operator=(const registry&) = delete;
@@ -321,6 +403,7 @@ class registry {
   obs::histogram* m_update_micros_ = nullptr;
   obs::gauge* m_resident_ = nullptr;
   obs::gauge* m_memory_bytes_ = nullptr;
+  std::shared_ptr<const epoch_fill_metrics> fill_metrics_;
 };
 
 }  // namespace ligra::engine

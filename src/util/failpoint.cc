@@ -39,7 +39,8 @@ registry_t& reg() {
 constexpr const char* kKnownSites[] = {
     "batch.fanout",       "cache.insert",      "checkpoint.write",
     "dynamic.apply.alloc",
-    "dynamic.compact",    "executor.dispatch", "graph_io.read",
+    "dynamic.compact",    "epoch.fill",        "executor.dispatch",
+    "graph_io.read",
     "net.accept",         "net.read",          "net.write",
     "recovery.replay",    "registry.load.alloc",
     "wal.append",         "wal.fsync",

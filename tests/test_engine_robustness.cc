@@ -15,9 +15,11 @@
 #include <thread>
 #include <vector>
 
+#include "apps/query_adapters.h"
 #include "engine/engine.h"
 #include "graph/generators.h"
 #include "graph/graph_io.h"
+#include "obs/metrics.h"
 #include "util/failpoint.h"
 
 namespace e = ligra::engine;
@@ -711,6 +713,46 @@ TEST_F(RobustnessTest, DispatchFaultSurfacesThroughFutureOnly) {
   EXPECT_THROW(fut.get(), e::engine_error);
   // The dispatcher survives the injected fault; the next query is fine.
   EXPECT_GE(ex.submit(q).get().value, -1);
+  ex.wait_idle();
+  auto snap = ex.stats();
+  EXPECT_EQ(snap.failed, 1u);
+  EXPECT_EQ(snap.completed, 1u);
+}
+
+TEST_F(RobustnessTest, EpochFillFaultPublishesNothingAndTheNextQueryFills) {
+  if (!fp::compiled_in()) GTEST_SKIP() << "failpoints compiled out";
+  const graph g = small_graph();
+  obs::metrics_registry metrics;
+  e::registry reg(&metrics);
+  auto h = reg.add("g", g);
+  const size_t bytes = h->memory_bytes();
+  e::query_executor ex(reg, {.max_concurrency = 1, .cache_capacity = 0});
+  auto& fills =
+      metrics.get_counter("engine_epoch_fills_total{kind=\"coreness\"}");
+
+  e::query_request q;
+  q.graph = "g";
+  q.kind = e::query_kind::coreness;
+  q.source = 3;
+
+  // The query that runs the failed fill fails as `internal`...
+  fp::arm("epoch.fill", fail_spec(/*count=*/1));
+  std::exception_ptr err;
+  try {
+    ex.submit(q).get();
+  } catch (...) {
+    err = std::current_exception();
+  }
+  ASSERT_TRUE(err);
+  EXPECT_EQ(e::classify(err).status, e::query_status::internal);
+  // ...and nothing is published.
+  EXPECT_EQ(h->memory_bytes(), bytes);
+  EXPECT_EQ(fills.value(), 0u);
+
+  // The next query fills the array and answers correctly.
+  EXPECT_EQ(ex.submit(q).get().value, apps::vertex_coreness(g, 3));
+  EXPECT_EQ(fills.value(), 1u);
+  EXPECT_EQ(h->memory_bytes(), bytes + g.num_vertices() * sizeof(vertex_id));
   ex.wait_idle();
   auto snap = ex.stats();
   EXPECT_EQ(snap.failed, 1u);
