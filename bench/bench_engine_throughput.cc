@@ -8,21 +8,24 @@
 //   * concurrency limit sweep.
 // The printed table gives the serving-shaped summary (p50/p99/hit rate);
 // the google-benchmark timings below it give stable regression numbers.
-// The batched-execution section (E2) replays 64-concurrent small point-BFS
-// rounds with coalescing off (batch_max=1) and on (batch_max=64 + a short
-// window) and ends with one machine-readable line:
-//   BATCH_JSON {"counters":{...},"gauges":{...},"histograms":{...}}
-// CI's bench-smoke job asserts batched qps >= 3x unbatched in geometric
-// mean over the inputs (the win is word-level bit parallelism — one
-// traversal answers 64 queries — so it holds on a single core).
+// The point-BFS section (E2) replays waves of 64 small point-BFS queries
+// two ways — through the executor, which answers each with one
+// bidirectional search (ligra/point_bfs.h), and as direct full-BFS calls
+// (apps::bfs_hop_distance) — and ends with one machine-readable line:
+//   POINT_BFS_JSON {"counters":{...},"gauges":{...},"histograms":{...}}
+// CI's bench-smoke job asserts the executor's qps over full BFS in
+// geometric mean over the inputs (a search reads ~1k edges where a full
+// BFS reads them all, so it holds on a single core).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "apps/query_adapters.h"
 #include "engine/engine.h"
 #include "graph/generators.h"
 #include "obs/metrics.h"
@@ -126,78 +129,55 @@ void print_summary() {
   std::printf("\n");
 }
 
-// --- E2: batched multi-source BFS (docs/ENGINE.md "Batched execution") -----
+// --- E2: point BFS (docs/ENGINE.md "Point BFS") -----------------------------
 
-// Every E2 number lands here; the BATCH_JSON line is its render_json().
-obs::metrics_registry& batch_metrics() {
+// Every E2 number lands here; the POINT_BFS_JSON line is its render_json().
+obs::metrics_registry& point_bfs_metrics() {
   static obs::metrics_registry reg;
   return reg;
 }
 
-struct batch_mode_result {
+struct arm_result {
   double qps;
-  double p50_micros;
   double p99_micros;
 };
 
-// Replays `rounds` waves of 64 concurrent point-BFS queries through one
-// sequential dispatcher (max_concurrency=1, use_pool=false: the honest
-// single-core serving shape) with the result cache off, so the comparison
-// is pure traversal work. Latency is wave-relative completion time.
-batch_mode_result run_batch_mode(engine::registry& reg,
-                                 const std::string& input, vertex_id n,
-                                 const char* mode, size_t batch_max,
-                                 uint64_t window_us, size_t rounds) {
-  engine::executor_options opts;
-  opts.max_concurrency = 1;
-  opts.use_pool = false;
-  opts.cache_capacity = 0;
-  opts.batch_max = batch_max;
-  opts.batch_window_micros = window_us;
-  engine::query_executor ex(reg, opts);
-
+// Replays `rounds` waves of 64 (source, target) pairs, the same for every
+// arm, through `answer`, and publishes the arm's qps gauge and
+// wave-relative latency histogram (completion time since the wave
+// started).
+template <class Answer>
+arm_result run_point_bfs_arm(const std::string& input, vertex_id n,
+                             const char* arm, size_t rounds,
+                             Answer&& answer) {
   const std::string labels =
-      std::string("{mode=\"") + mode + "\",input=\"" + input + "\"}";
-  auto& lat =
-      batch_metrics().get_histogram("engine_batch_bench_latency_micros" +
-                                    labels);
+      std::string("{arm=\"") + arm + "\",input=\"" + input + "\"}";
+  auto& lat = point_bfs_metrics().get_histogram(
+      "point_bfs_bench_latency_micros" + labels);
   rng r(11);
-  size_t total = 0;
+  std::vector<std::pair<vertex_id, vertex_id>> wave(64);
   const monotonic_time t0 = mono_now();
   for (size_t round = 0; round < rounds; round++) {
-    std::vector<std::future<engine::query_result>> futs;
-    futs.reserve(64);
-    const monotonic_time w0 = mono_now();
-    for (size_t i = 0; i < 64; i++) {
+    for (size_t i = 0; i < wave.size(); i++) {
       const uint64_t draw = (round * 64 + i) * 2;
-      engine::query_request q;
-      q.graph = input;
-      q.kind = engine::query_kind::bfs_distance;
-      q.source = static_cast<vertex_id>(r[draw] % n);
-      q.target = static_cast<vertex_id>(r[draw + 1] % n);
-      futs.push_back(ex.submit(q));
+      wave[i] = {static_cast<vertex_id>(r[draw] % n),
+                 static_cast<vertex_id>(r[draw + 1] % n)};
     }
-    for (auto& f : futs) {
-      f.get();
+    const monotonic_time w0 = mono_now();
+    answer(wave, [&] {
       lat.record(static_cast<uint64_t>(micros_since(w0)));
-      total++;
-    }
+    });
   }
-  const double secs = seconds_since(t0);
-  batch_mode_result res;
-  res.qps = static_cast<double>(total) / secs;
-  const auto snap = lat.snapshot();
-  res.p50_micros = snap.p50();
-  res.p99_micros = snap.p99();
-  batch_metrics()
-      .get_gauge("engine_batch_bench_qps" + labels)
-      .set(static_cast<int64_t>(res.qps));
-  return res;
+  const double qps = static_cast<double>(rounds * wave.size()) /
+                     seconds_since(t0);
+  point_bfs_metrics()
+      .get_gauge("point_bfs_bench_qps" + labels)
+      .set(static_cast<int64_t>(qps));
+  return {qps, lat.snapshot().p99()};
 }
 
-void print_batch_summary() {
-  // Scale is pinned to 12: the CI contract asserts the >= 3x geomean at
-  // this size, and the bit-parallel win is core-count independent.
+void print_point_bfs_summary() {
+  // Scale is pinned to 12, the size CI's speedup floor was measured at.
   constexpr int kScale = 12;
   const vertex_id n = vertex_id{1} << kScale;
   const size_t rounds = 16;
@@ -205,28 +185,62 @@ void print_batch_summary() {
   reg.add("rmat", gen::rmat_graph(kScale, edge_id{8} << kScale, /*seed=*/9));
   reg.add("unif", gen::random_graph(n, 8, /*seed=*/9));
 
-  std::printf("=== E2: batched execution — %zu waves of 64 concurrent "
-              "point-BFS queries, scale %d ===\n",
+  std::printf("=== E2: point BFS — %zu waves of 64 point-BFS queries, "
+              "scale %d ===\n",
               rounds, kScale);
-  table_printer t({"Input", "unbatched q/s", "batched q/s", "speedup",
-                   "batched p99 (us)"});
+  table_printer table({"Input", "full BFS q/s", "executor q/s", "speedup",
+                       "executor p99 (us)"});
   for (const char* input : {"rmat", "unif"}) {
-    auto un = run_batch_mode(reg, input, n, "unbatched", /*batch_max=*/1,
-                             /*window_us=*/0, rounds);
-    auto ba = run_batch_mode(reg, input, n, "batched", /*batch_max=*/64,
-                             /*window_us=*/200, rounds);
-    const double speedup = ba.qps / un.qps;
-    batch_metrics()
-        .get_gauge(std::string("engine_batch_bench_speedup_x1000{input=\"") +
+    // Arm A: 64 submissions per wave through one sequential dispatcher
+    // (max_concurrency=1, use_pool=false: the honest single-core serving
+    // shape) with the result cache off, so every query searches.
+    engine::executor_options opts;
+    opts.max_concurrency = 1;
+    opts.use_pool = false;
+    opts.cache_capacity = 0;
+    engine::query_executor ex(reg, opts);
+    const arm_result executor = run_point_bfs_arm(
+        input, n, "executor", rounds, [&](const auto& wave, auto&& done) {
+          std::vector<std::future<engine::query_result>> futs;
+          futs.reserve(wave.size());
+          for (const auto& [s, t] : wave) {
+            engine::query_request q;
+            q.graph = input;
+            q.kind = engine::query_kind::bfs_distance;
+            q.source = s;
+            q.target = t;
+            futs.push_back(ex.submit(q));
+          }
+          for (auto& f : futs) {
+            f.get();
+            done();
+          }
+        });
+    // Arm B: the full-BFS reference, called directly on the same pairs.
+    const graph& g = reg.get(input)->structure();
+    int64_t sink = 0;
+    const arm_result full = run_point_bfs_arm(
+        input, n, "full_bfs", rounds, [&](const auto& wave, auto&& done) {
+          for (const auto& [s, t] : wave) {
+            sink += apps::bfs_hop_distance(g, s, t);
+            done();
+          }
+        });
+    benchmark::DoNotOptimize(sink);
+    const double speedup = executor.qps / full.qps;
+    point_bfs_metrics()
+        .get_gauge(std::string("point_bfs_bench_speedup_x1000{input=\"") +
                    input + "\"}")
         .set(static_cast<int64_t>(speedup * 1000.0));
     char sp[32];
     std::snprintf(sp, sizeof(sp), "%.1fx", speedup);
-    t.add_row({input, format_double(un.qps, 0), format_double(ba.qps, 0), sp,
-               format_double(ba.p99_micros, 0)});
+    table.add_row({input, format_double(full.qps, 0),
+                   format_double(executor.qps, 0), sp,
+                   format_double(executor.p99_micros, 0)});
   }
-  t.print();
-  std::printf("\nBATCH_JSON %s\n\n", batch_metrics().render_json().c_str());
+  table.print();
+  std::printf("\nPOINT_BFS_JSON %s\n\n",
+              point_bfs_metrics().render_json().c_str());
 }
 
 void BM_EngineThroughput(benchmark::State& state) {
@@ -269,7 +283,7 @@ BENCHMARK(BM_CacheHitLatency);
 
 int main(int argc, char** argv) {
   print_summary();
-  print_batch_summary();
+  print_point_bfs_summary();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -27,13 +27,6 @@
 //   -shed-watermark N   shed low-priority submissions past this queue depth
 //   -failpoints SPEC    arm failpoints, e.g. "cache.insert=fail,p=0.1"
 //
-// Batched execution knobs (docs/ENGINE.md "Batched execution"):
-//   -batch-max N        members per coalesced multi-BFS fan-out (<= 64;
-//                       1 disables batching; default 64)
-//   -batch-window-us N  hold a forming batch open N microseconds waiting
-//                       for companions (default 0: only coalesce what is
-//                       already queued)
-//
 // Durability knobs (docs/DURABILITY.md):
 //   -wal-dir DIR        give every mutable graph a durable store under
 //                       DIR/<name>: updates append to a write-ahead log
@@ -333,11 +326,17 @@ replay_report replay(engine::query_executor& ex,
         starts.push_back(t0);
         if (cancel_this) sources.back().request_cancel();
         break;
-      } catch (const engine::shed_error& e) {
-        rep.shed++;
-        std::this_thread::sleep_for(e.retry_after);
-        break;  // shed low-priority work is dropped, not retried
-      } catch (const engine::rejected_error&) {
+      } catch (...) {
+        const engine::outcome o = engine::classify(std::current_exception());
+        if (o.status == engine::query_status::shed) {
+          rep.shed++;
+          std::this_thread::sleep_for(
+              std::chrono::milliseconds(o.retry_after_ms));
+          break;  // shed low-priority work is dropped, not retried
+        }
+        if (o.status != engine::query_status::rejected &&
+            o.status != engine::query_status::shutting_down)
+          throw;
         rep.retries++;
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       }
@@ -350,13 +349,20 @@ replay_report replay(engine::query_executor& ex,
       futures[i].get();
       latencies.push_back(micros_since(starts[i]));
       rep.completed++;
-    } catch (const engine::cancelled_error&) {
-      rep.cancelled++;
-    } catch (const engine::deadline_exceeded_error&) {
-      rep.deadline++;
-    } catch (const std::exception& e) {
-      rep.failed++;
-      std::fprintf(stderr, "request %zu failed: %s\n", i, e.what());
+    } catch (...) {
+      const engine::outcome o = engine::classify(std::current_exception());
+      switch (o.status) {
+        case engine::query_status::cancelled:
+          rep.cancelled++;
+          break;
+        case engine::query_status::deadline:
+          rep.deadline++;
+          break;
+        default:
+          rep.failed++;
+          std::fprintf(stderr, "request %zu failed: %s\n", i,
+                       o.message.c_str());
+      }
     }
   }
   rep.wall_seconds = micros_since(wall0) / 1e6;
@@ -913,13 +919,6 @@ int main(int argc, char* argv[]) {
   opts.use_pool = !cli.has("no-pool");
   opts.shed_watermark =
       static_cast<size_t>(cli.get_int("shed-watermark", 0));
-  // Batched execution (docs/ENGINE.md): coalesce concurrent bfs queries
-  // into one bit-parallel multi-BFS. Opportunistic coalescing is on by
-  // default; -batch-window-us adds a collection window, -batch-max 1
-  // disables batching outright.
-  opts.batch_max = static_cast<size_t>(cli.get_int("batch-max", 64));
-  opts.batch_window_micros =
-      static_cast<uint64_t>(cli.get_int("batch-window-us", 0));
   opts.metrics = &metrics;
 
   // Query observability: trace retention ring + flight recorder, always

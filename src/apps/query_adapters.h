@@ -1,7 +1,8 @@
 // Thin value-returning query adapters over the applications. The
-// concurrent query engine (src/engine/) executes the bfs, sssp and triangle
-// ones; it answers cc, coreness and top-k from per-epoch arrays
-// (graph_entry), and these adapters stay as the reference for those. Each
+// concurrent query engine (src/engine/) executes the sssp and triangle
+// ones; it answers bfs with one bidirectional search (ligra/point_bfs.h)
+// and cc, coreness and top-k from per-epoch arrays (graph_entry), and
+// these adapters stay as the reference for those. Each
 // adapter maps (graph, params) to a compact answer instead of a full
 // per-vertex result vector, validates its parameters, and throws
 // std::invalid_argument on out-of-range vertices so engine futures carry

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "ligra/vertex_map.h"
@@ -14,13 +13,6 @@
 namespace ligra::dynamic {
 
 namespace {
-
-void check_vertex(const char* what, vertex_id v, vertex_id n) {
-  if (v >= n)
-    throw std::invalid_argument(std::string(what) + ": vertex " +
-                                std::to_string(v) + " out of range [0, " +
-                                std::to_string(n) + ")");
-}
 
 // Min-label propagation functor — the paper's CC update (apps/components.cc)
 // over the mutable view; prev_labels keeps the output duplicate-free.
@@ -67,25 +59,6 @@ struct pr_inc_f {
     return compare_and_swap(&seen[v], uint8_t{0}, uint8_t{1});
   }
   bool cond(vertex_id) const { return true; }
-};
-
-// Level-stamping BFS: the CAS winner of each newly discovered vertex
-// returns true, so the output frontier is duplicate-free.
-struct bfs_inc_f {
-  int64_t* level;
-  int64_t round;
-
-  bool update(vertex_id, vertex_id v) const {
-    if (level[v] < 0) {
-      level[v] = round;
-      return true;
-    }
-    return false;
-  }
-  bool update_atomic(vertex_id, vertex_id v) const {
-    return compare_and_swap(&level[v], int64_t{-1}, round);
-  }
-  bool cond(vertex_id v) const { return atomic_load(&level[v]) < 0; }
 };
 
 // Conservative probe: true proves u and v are still connected in the new
@@ -404,27 +377,6 @@ apps::pagerank_result pagerank_delta_inc(
     frontier = fold_round(received);
   }
   return result;
-}
-
-int64_t bfs_hop_distance(const mutable_graph& g, vertex_id source,
-                         vertex_id target,
-                         const std::function<void()>& poll) {
-  const vertex_id n = g.num_vertices();
-  check_vertex("bfs_hop_distance source", source, n);
-  check_vertex("bfs_hop_distance target", target, n);
-  std::vector<int64_t> level(n, -1);
-  level[source] = 0;
-  vertex_subset frontier(n, source);
-  int64_t round = 0;
-  edge_map_scratch scratch;
-  edge_map_options opts;
-  opts.scratch = &scratch;
-  while (!frontier.empty() && level[target] < 0) {
-    if (poll) poll();
-    round++;
-    frontier = edge_map(g, frontier, bfs_inc_f{level.data(), round}, opts);
-  }
-  return level[target];
 }
 
 }  // namespace ligra::dynamic

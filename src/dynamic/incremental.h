@@ -23,8 +23,8 @@
 //     the configured tolerances of the true fixpoint.
 //
 // `inc_state` is the per-epoch converged state the engine's registry keeps
-// alongside each mutable graph entry; `bfs_hop_distance` serves point
-// lookups by traversing the live view directly.
+// alongside each mutable graph entry. Point BFS on the live view is
+// ligra::point_bfs (ligra/point_bfs.h), shared with static graphs.
 #pragma once
 
 #include <functional>
@@ -68,11 +68,5 @@ apps::pagerank_result pagerank_delta_inc(
     std::vector<double> rank, const std::vector<edge>& inserted,
     const std::vector<edge>& deleted,
     const apps::pagerank_delta_options& opts = maintenance_pr_options());
-
-// Hop distance source -> target on the live view; -1 if unreachable.
-// Direction-optimizing BFS via edge_map over base+delta.
-int64_t bfs_hop_distance(const mutable_graph& g, vertex_id source,
-                         vertex_id target,
-                         const std::function<void()>& poll = {});
 
 }  // namespace ligra::dynamic

@@ -5,12 +5,9 @@
 #include <string>
 #include <utility>
 
-#include <unordered_map>
-
 #include "apps/query_adapters.h"
-#include "dynamic/incremental.h"
 #include "ligra/edge_map.h"
-#include "ligra/multi_bfs.h"
+#include "ligra/point_bfs.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
 #include "obs/trace.h"
@@ -31,8 +28,8 @@ void check_vertex(const char* what, vertex_id v, vertex_id n) {
                                 std::to_string(n) + ")");
 }
 
-// Round-boundary poll hook for the dynamic traversals (same shape the app
-// adapters use); empty for inactive tokens so the per-round branch is free.
+// Round-boundary poll hook for point BFS (same shape the app adapters
+// use); empty for inactive tokens so the per-round branch is free.
 std::function<void()> poll_of(const cancel_token& token) {
   if (!token.active()) return {};
   return [token] { token.poll(); };
@@ -93,12 +90,7 @@ query_executor::query_executor(registry& graphs, executor_options opts)
       cache_(opts.cache_capacity, metrics_),
       stats_(*metrics_),
       g_queue_depth_(&metrics_->get_gauge("engine_queue_depth")),
-      g_running_(&metrics_->get_gauge("engine_running")),
-      c_batches_(&metrics_->get_counter("engine_batch_batches_total")),
-      c_batch_members_(&metrics_->get_counter("engine_batch_members_total")),
-      c_batch_dedup_(&metrics_->get_counter("engine_batch_dedup_total")),
-      h_batch_width_(&metrics_->get_histogram("engine_batch_width")),
-      h_batch_wait_(&metrics_->get_histogram("engine_batch_wait_micros")) {
+      g_running_(&metrics_->get_gauge("engine_running")) {
   // Force pool construction from this thread before any dispatcher starts:
   // lazy construction from a dispatcher would adopt it as worker 0 and
   // alias deque ownership with the caller's thread.
@@ -106,7 +98,6 @@ query_executor::query_executor(registry& graphs, executor_options opts)
   if (opts_.max_concurrency == 0)
     opts_.max_concurrency = std::min<size_t>(4, workers);
   if (opts_.max_queue == 0) opts_.max_queue = 1;
-  if (opts_.batch_max > 64) opts_.batch_max = 64;  // one bit per source
   dispatchers_.reserve(opts_.max_concurrency);
   for (size_t i = 0; i < opts_.max_concurrency; i++)
     dispatchers_.emplace_back([this] { dispatcher_loop(); });
@@ -155,7 +146,8 @@ cache_key query_executor::make_key(const query_request& req, uint64_t epoch) {
 
 query_result query_executor::execute(const query_request& req,
                                      const graph_entry& e,
-                                     const cancel_token& token) {
+                                     const cancel_token& token,
+                                     point_bfs_scratch* pb_scratch) {
   query_result r;
   r.kind = req.kind;
   // cc, coreness and top-k read the epoch's analytics arrays, filled once
@@ -166,18 +158,17 @@ query_result query_executor::execute(const query_request& req,
     return array;
   };
   switch (req.kind) {
-    case query_kind::bfs_distance:
-      // Mutable entries traverse the live base+delta view.
-      if (e.is_mutable()) {
-        check_vertex("bfs_hop_distance source", req.source, e.num_vertices());
-        check_vertex("bfs_hop_distance target", req.target, e.num_vertices());
-        r.value = dynamic::bfs_hop_distance(*e.dyn(), req.source, req.target,
-                                            poll_of(token));
-      } else {
-        r.value = apps::bfs_hop_distance(e.structure(), req.source, req.target,
-                                         token);
-      }
+    case query_kind::bfs_distance: {
+      // One bidirectional search (ligra/point_bfs.h); a mutable entry is
+      // searched over its live base+delta view.
+      obs::span_scope rounds("rounds");
+      r.value = e.is_mutable()
+                    ? point_bfs(*e.dyn(), req.source, req.target,
+                                poll_of(token), pb_scratch)
+                    : point_bfs(e.structure(), req.source, req.target,
+                                poll_of(token), pb_scratch);
       break;
+    }
     case query_kind::sssp_distance:
       r.value = apps::sssp_distance(e.weights(), req.source, req.target, token);
       break;
@@ -267,8 +258,6 @@ void query_executor::observe_done(const job& j, const outcome& o,
   rec.exec_micros = exec_micros;
   rec.retry_after_ms = o.retry_after_ms;
   rec.rounds = rounds;
-  rec.batch_id = j.batch_id;
-  rec.batch_width = j.batch_width;
   rec.error = o.message;
   if (j.trace != nullptr) rec.trace_json = j.trace->to_json();
   opts_.traces->insert(std::move(rec));
@@ -373,15 +362,6 @@ query_executor::job_ptr query_executor::make_job(query_request req,
     j->trace = j->owned_trace.get();
   }
 
-  // Coalescing eligibility (docs/ENGINE.md "Batched execution"): point BFS
-  // on a static entry. Mutable entries answer BFS over the live base+delta
-  // view (no shared CSR to fan out over), and a caller-supplied trace
-  // promises per-round detail this query's own traversal would produce —
-  // batch members share the leader's rounds, so those stay singular.
-  j->batchable = opts_.batch_max > 1 &&
-                 j->req.kind == query_kind::bfs_distance &&
-                 !j->handle->is_mutable() && j->req.trace == nullptr;
-
   // Layer the per-query deadline on top of any caller token. Queries with
   // neither keep an inactive token: the apps then skip the per-round poll
   // branch entirely.
@@ -459,7 +439,7 @@ void query_executor::submit(query_request req, settle_fn on_settle) {
     finish(*j, 0.0, nullptr, refusal);
     std::rethrow_exception(refusal);
   }
-  notify_work();
+  work_cv_.notify_one();
 
   if (j->deadline_at != std::chrono::steady_clock::time_point::max()) {
     {
@@ -487,192 +467,39 @@ query_result query_executor::run(const query_request& req) {
   // submit()'s job, minus admission and the watchdog: the body runs here on
   // the calling thread, so the deadline is enforced by polling only (there
   // is no one to settle the caller's stack frame early), and the
-  // continuation has run by the time run_jobs returns.
+  // continuation has run by the time run_job returns.
   query_result out;
   std::exception_ptr err;
-  std::vector<job_ptr> jobs{
-      make_job(req, [&](query_result* r, std::exception_ptr e) {
-        if (r != nullptr) out = std::move(*r);
-        err = std::move(e);
-      })};
-  if (!jobs.front()->finished)
-    run_jobs(jobs, nullptr, nullptr, 0.0, /*on_pool=*/false);
+  job_ptr j = make_job(req, [&](query_result* r, std::exception_ptr e) {
+    if (r != nullptr) out = std::move(*r);
+    err = std::move(e);
+  });
+  if (!j->finished) run_job(*j, nullptr, nullptr, /*on_pool=*/false);
   if (err) std::rethrow_exception(err);
   return out;
 }
 
-void query_executor::run_jobs(std::vector<job_ptr>& batch,
-                              edge_map_scratch* scratch,
-                              multi_bfs_scratch* mb_scratch,
-                              double wait_micros, bool on_pool) {
-  // Every member of a coalesced fan-out carries the batch's id (1-based)
-  // and width on each record it leaves, whatever its own outcome.
-  const bool coalesced = batch.size() > 1;
-  if (coalesced) {
-    const uint64_t id = batch_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-    for (auto& j : batch) {
-      j->batch_id = id;
-      j->batch_width = static_cast<uint32_t>(batch.size());
-    }
-  }
-
-  // Prologue: close the queued span, and finish without running any member
+void query_executor::run_job(job& j, edge_map_scratch* scratch,
+                             point_bfs_scratch* pb_scratch, bool on_pool) {
+  // Prologue: close the queued span, and finish without running a job
   // whose token tripped while it waited — caller cancel, deadline, or the
   // watchdog (which trips the token before it settles the query).
-  std::erase_if(batch, [this](const job_ptr& j) {
-    j->queued_micros = micros_since(j->submit_t0);
-    if (j->trace != nullptr && j->queued_span != SIZE_MAX)
-      j->trace->end_span(j->queued_span);
-    if (!j->token.should_stop()) return false;
-    finish(*j, 0.0, nullptr, stop_error(j->token, "while queued"));
-    return true;
-  });
-  if (batch.empty()) return;
-
-  if (coalesced) {
-    fan_out(batch, scratch, mb_scratch, wait_micros, on_pool);
+  j.queued_micros = micros_since(j.submit_t0);
+  if (j.trace != nullptr && j.queued_span != SIZE_MAX)
+    j.trace->end_span(j.queued_span);
+  if (j.token.should_stop()) {
+    finish(j, 0.0, nullptr, stop_error(j.token, "while queued"));
     return;
   }
-  job& j = *batch.front();
   query_result r;
   const monotonic_time t0 = mono_now();
   std::exception_ptr err = run_body(j.trace, j.tid, scratch, on_pool, [&] {
     if (LIGRA_FAILPOINT("executor.dispatch"))
       throw engine_error(
           "injected dispatch failure (failpoint executor.dispatch)");
-    r = execute(j.req, *j.handle, j.token);
+    r = execute(j.req, *j.handle, j.token, pb_scratch);
   });
   finish(j, micros_since(t0), err ? nullptr : &r, err);
-}
-
-void query_executor::fan_out(std::vector<job_ptr>& live,
-                             edge_map_scratch* scratch,
-                             multi_bfs_scratch* mb_scratch,
-                             double wait_micros, bool on_pool) {
-  auto drop_finished = [&] {
-    std::erase_if(live, [](const job_ptr& j) { return j->finished; });
-    return live.empty();
-  };
-
-  // Batched cache probe (one lock for the whole batch): a sibling batch or
-  // singular query may have filled a member's key since its submit-time
-  // miss.
-  std::vector<cache_key> keys;
-  std::vector<job*> key_member;
-  for (auto& j : live) {
-    if (!j->cacheable) continue;
-    keys.push_back(j->key);
-    key_member.push_back(j.get());
-  }
-  if (!keys.empty()) {
-    auto found = cache_.get_many(keys);
-    for (size_t k = 0; k < keys.size(); k++) {
-      if (!found[k]) continue;
-      query_result r = *found[k];
-      r.cache_hit = true;
-      finish(*key_member[k], 0.0, &r);
-    }
-    if (drop_finished()) return;
-  }
-
-  // Invalid vertices fail their member only — the rest of the batch still
-  // traverses.
-  const graph_handle handle = live.front()->handle;
-  const vertex_id n = handle->num_vertices();
-  for (auto& j : live) {
-    try {
-      check_vertex("bfs_hop_distance source", j->req.source, n);
-      check_vertex("bfs_hop_distance target", j->req.target, n);
-    } catch (...) {
-      finish(*j, 0.0, nullptr, std::current_exception());
-    }
-  }
-  if (drop_finished()) return;
-
-  // Single-flight grouping: identical (source, target) members share one
-  // watch, distinct sources share one bit — two callers asking the same
-  // question pay for one answer.
-  std::vector<vertex_id> sources;
-  std::vector<multi_bfs_pair> pairs;
-  std::vector<std::vector<job*>> watch_members;
-  {
-    std::unordered_map<uint64_t, size_t> watch_of;  // (source, target) key
-    std::unordered_map<vertex_id, uint32_t> slot_of;
-    uint64_t dedup = 0;
-    for (auto& j : live) {
-      const uint64_t key = (static_cast<uint64_t>(j->req.source) << 32) |
-                           static_cast<uint64_t>(j->req.target);
-      auto it = watch_of.find(key);
-      if (it != watch_of.end()) {
-        watch_members[it->second].push_back(j.get());
-        dedup++;
-        continue;
-      }
-      auto [sit, fresh] = slot_of.try_emplace(
-          j->req.source, static_cast<uint32_t>(sources.size()));
-      if (fresh) sources.push_back(j->req.source);
-      watch_of.emplace(key, pairs.size());
-      pairs.push_back({sit->second, j->req.target});
-      watch_members.push_back({j.get()});
-    }
-    if (dedup > 0) c_batch_dedup_->inc(dedup);
-  }
-  c_batches_->inc();
-  c_batch_members_->inc(live.size());
-  h_batch_width_->record(static_cast<uint64_t>(live.size()));
-  h_batch_wait_->record(static_cast<uint64_t>(wait_micros));
-
-  // One bit-parallel traversal answers every member. The leader's effective
-  // trace is installed (its rounds carry the batch width via the multi_bfs
-  // span); the other members keep summary-only records stamped with the
-  // batch id.
-  const job& leader = *live.front();
-  const monotonic_time t0 = mono_now();
-  std::vector<int64_t> dist;
-  std::exception_ptr err =
-      run_body(leader.trace, leader.tid, scratch, on_pool, [&] {
-        if (LIGRA_FAILPOINT("batch.fanout"))
-          throw engine_error(
-              "injected batch fan-out failure (failpoint batch.fanout)");
-        multi_bfs_options mopts;
-        mopts.scratch = mb_scratch;
-        // Per-member cancel/deadline isolation: a tripped member is
-        // finished at the round boundary and the traversal carries on for
-        // its siblings; only a fully-abandoned batch stops early.
-        mopts.on_round = [&](int64_t, size_t) {
-          size_t alive = 0;
-          for (auto& j : live) {
-            if (j->finished) continue;
-            if (j->token.should_stop()) {
-              finish(*j, micros_since(t0), nullptr,
-                     stop_error(j->token, "during batched execution"));
-              continue;
-            }
-            alive++;
-          }
-          return alive > 0;
-        };
-        dist = multi_bfs_distances(handle->structure(), sources, pairs, mopts);
-      });
-  const double exec_micros = micros_since(t0);
-
-  // A failed fan-out (failpoint, allocation) fails each remaining member
-  // with the typed error; the coalescer itself is fine — the next batch
-  // starts clean. Otherwise every member gets its watch's answer, settled
-  // (and cached) individually so popular sources hit next time.
-  for (size_t w = 0; w < pairs.size(); w++) {
-    for (job* j : watch_members[w]) {
-      if (j->finished) continue;
-      if (err) {
-        finish(*j, exec_micros, nullptr, err);
-        continue;
-      }
-      query_result r;
-      r.kind = query_kind::bfs_distance;
-      r.value = dist[w];
-      finish(*j, exec_micros, &r);
-    }
-  }
 }
 
 std::deque<query_executor::job_ptr>::iterator
@@ -685,46 +512,16 @@ query_executor::find_eligible_locked() {
   return queue_.end();
 }
 
-void query_executor::notify_work() {
-  if (opts_.batch_window_micros > 0 && opts_.batch_max > 1)
-    work_cv_.notify_all();
-  else
-    work_cv_.notify_one();
-}
-
-void query_executor::collect_batch_locked(std::vector<job_ptr>& batch) {
-  // Copied, not a reference: push_back below reallocates the vector.
-  const job_ptr leader = batch.front();
-  for (auto it = queue_.begin();
-       it != queue_.end() && batch.size() < opts_.batch_max;) {
-    // Same entry object (one handle pins one immutable epoch), so the
-    // members provably traverse the same structure. Members join the
-    // leader's traversal regardless of the per-kind cap: riding an
-    // already-running fan-out only reduces total work.
-    if ((*it)->batchable && (*it)->handle == leader->handle &&
-        (*it)->epoch == leader->epoch) {
-      running_++;
-      running_by_kind_[static_cast<size_t>((*it)->req.kind)]++;
-      batch.push_back(std::move(*it));
-      it = queue_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  g_queue_depth_->set(static_cast<int64_t>(queue_.size()));
-  g_running_->set(static_cast<int64_t>(running_));
-}
-
 void query_executor::dispatcher_loop() {
   // This dispatcher's traversal working memory, reused by every query it
-  // runs for the executor's lifetime (ligra/edge_map.h scratch contract);
-  // mb_scratch additionally carries the multi-BFS bit vectors across
-  // batches.
+  // runs for the executor's lifetime: the edge_map round scratch
+  // (ligra/edge_map.h scratch contract) and the point-BFS visited marks
+  // (ligra/point_bfs.h). The dispatcher runs one body at a time, so
+  // neither is ever shared by two queries.
   edge_map_scratch scratch;
-  multi_bfs_scratch mb_scratch;
+  point_bfs_scratch pb_scratch;
   while (true) {
-    std::vector<job_ptr> batch;
-    double wait_micros = 0.0;
+    job_ptr j;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       // During shutdown caps are ignored so the queue always drains.
@@ -737,46 +534,24 @@ void query_executor::dispatcher_loop() {
       }
       auto it = stop_ ? queue_.begin() : find_eligible_locked();
       if (it == queue_.end()) continue;
-      batch.push_back(std::move(*it));
+      j = std::move(*it);
       queue_.erase(it);
       running_++;
-      running_by_kind_[static_cast<size_t>(batch.front()->req.kind)]++;
+      running_by_kind_[static_cast<size_t>(j->req.kind)]++;
       g_queue_depth_->set(static_cast<int64_t>(queue_.size()));
       g_running_->set(static_cast<int64_t>(running_));
-      if (batch.front()->batchable && !stop_) {
-        collect_batch_locked(batch);
-        // Hold the window open for companions when configured (skipped
-        // while draining or shutting down — nothing new is coming).
-        if (opts_.batch_window_micros > 0 && batch.size() < opts_.batch_max &&
-            !draining_) {
-          const monotonic_time w0 = mono_now();
-          const auto until =
-              std::chrono::steady_clock::now() +
-              std::chrono::microseconds(opts_.batch_window_micros);
-          while (batch.size() < opts_.batch_max && !stop_ && !draining_) {
-            const auto status = work_cv_.wait_until(lock, until);
-            collect_batch_locked(batch);
-            if (status == std::cv_status::timeout) break;
-          }
-          wait_micros = micros_since(w0);
-        }
-      }
     }
-    // Every member shares the kind (only bfs_distance coalesces); read both
-    // before run_jobs drops the members it finishes early.
-    const size_t kind = static_cast<size_t>(batch.front()->req.kind);
-    const size_t done = batch.size();
-    run_jobs(batch, &scratch, &mb_scratch, wait_micros, opts_.use_pool);
+    run_job(*j, &scratch, &pb_scratch, opts_.use_pool);
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      running_ -= done;
-      running_by_kind_[kind] -= done;
+      running_--;
+      running_by_kind_[static_cast<size_t>(j->req.kind)]--;
       g_running_->set(static_cast<int64_t>(running_));
       if (queue_.empty() && running_ == 0) idle_cv_.notify_all();
     }
     // A kind slot freed up; a queued job previously passed over for its cap
     // may be eligible now.
-    notify_work();
+    work_cv_.notify_one();
   }
 }
 

@@ -56,7 +56,7 @@
 
 namespace ligra {
 struct edge_map_scratch;   // ligra/edge_map.h
-struct multi_bfs_scratch;  // ligra/multi_bfs.h
+struct point_bfs_scratch;  // ligra/point_bfs.h
 }  // namespace ligra
 
 namespace ligra::obs {
@@ -87,20 +87,6 @@ struct executor_options {
   size_t cache_capacity = 1024;
   // Run query bodies inside the work-stealing pool (see header comment).
   bool use_pool = true;
-
-  // --- batched execution (docs/ENGINE.md "Batched execution") -------------
-  // Compatible queued queries — kind bfs_distance against the same
-  // non-mutable graph epoch, no caller-supplied trace — are coalesced into
-  // one bit-parallel multi-BFS (ligra/multi_bfs.h): one traversal answers
-  // the whole batch, each member settled individually with its own typed
-  // outcome. batch_max caps members per fan-out (clamped to 64, one bit
-  // per distinct source; <= 1 disables coalescing entirely).
-  size_t batch_max = 64;
-  // How long a dispatcher holds the first member of a forming batch open
-  // waiting for companions to arrive, in microseconds. 0 (default) only
-  // coalesces what is already queued — no latency is ever added; a backlog
-  // still batches, an idle engine dispatches immediately.
-  uint64_t batch_window_micros = 0;
   // Publish stats/cache/queue metrics into this registry (so one exposition
   // covers the executor alongside the graph registry, scheduler, and
   // failpoints). Null = the executor creates and owns a private registry,
@@ -216,12 +202,6 @@ class query_executor {
     monotonic_time submit_t0;
     double queued_micros = 0.0;
     uint64_t epoch = 0;
-    // Eligible for multi-BFS coalescing (set at submit: bfs_distance on a
-    // non-mutable entry, no caller trace, batching enabled).
-    bool batchable = false;
-    // The coalesced fan-out this job rode (0/0 = unbatched).
-    uint64_t batch_id = 0;
-    uint32_t batch_width = 0;
     std::chrono::steady_clock::time_point deadline_at =
         std::chrono::steady_clock::time_point::max();
     // finish() ran: the outcome is recorded. Touched only by the thread
@@ -241,26 +221,15 @@ class query_executor {
   // the deadline source. An unknown graph or a cache hit comes back already
   // finished (on_settle called).
   job_ptr make_job(query_request req, settle_fn on_settle);
-  // The one query lifecycle (docs/ENGINE.md). Prologue: close each
-  // member's queued span and finish members whose token tripped while they
-  // waited. Body: a lone job runs execute(); a coalesced batch runs
-  // fan_out(). Epilogue: finish() per member. `scratch` is the calling
-  // dispatcher's edge_map round scratch, installed around the body so
-  // steady-state queries allocate no traversal working memory; `on_pool`
-  // runs the body inside the work-stealing pool; `wait_micros` is how long
-  // the dispatcher held the batch window open. Members it finishes are
-  // erased from `batch`.
-  void run_jobs(std::vector<job_ptr>& batch, edge_map_scratch* scratch,
-                multi_bfs_scratch* mb_scratch, double wait_micros,
-                bool on_pool);
-  // The body of a coalesced batch (docs/ENGINE.md "Batched execution"):
-  // re-probes the cache, rejects invalid vertices, dedups identical
-  // members, and answers the rest with one bit-parallel multi-BFS
-  // (ligra/multi_bfs.h). A member's cancel/deadline/cache-hit/
-  // invalid-vertex outcome never touches its siblings.
-  void fan_out(std::vector<job_ptr>& live, edge_map_scratch* scratch,
-               multi_bfs_scratch* mb_scratch, double wait_micros,
-               bool on_pool);
+  // The one query lifecycle (docs/ENGINE.md). Prologue: close the queued
+  // span, and finish the job without running it if its token tripped while
+  // it waited. Body: execute(). Epilogue: finish(). `scratch` and
+  // `pb_scratch` are the calling dispatcher's edge_map round scratch and
+  // point-BFS marks (null: the body allocates its own), so steady-state
+  // queries allocate no traversal working memory; `on_pool` runs the body
+  // inside the work-stealing pool.
+  void run_job(job& j, edge_map_scratch* scratch,
+               point_bfs_scratch* pb_scratch, bool on_pool);
   // Settles `j` with `r` (null on failure) or `err`, unless the watchdog
   // got there first: cache put, stats, observation, and on_settle — in
   // that order, exactly once per job.
@@ -274,22 +243,17 @@ class query_executor {
   // outcomes. No-op when observing() is false.
   void observe_done(const job& j, const outcome& o, double exec_micros,
                     const query_result* r);
-  // Moves every queued job coalescible with batch.front() into `batch`
-  // (same handle/epoch, up to the batch_max cap), accounting each as
-  // running. Caller holds mutex_.
-  void collect_batch_locked(std::vector<job_ptr>& batch);
-  // notify_one, except when window-waiting dispatchers may exist: those
-  // consume notifications they might not act on, so everyone is woken.
-  void notify_work();
   // First queued job whose kind is under its concurrency cap; queue_.end()
   // if none. Caller holds mutex_.
   std::deque<job_ptr>::iterator find_eligible_locked();
   // The query body proper; throws on bad requests. A member (not static)
   // because the `update` kind routes through registry_.apply_updates. cc,
   // coreness and top-k are lookups into the entry's per-epoch analytics;
-  // mutable entries answer bfs over the live base+delta view.
+  // bfs is one point search (ligra/point_bfs.h) through `pb_scratch`,
+  // over the live base+delta view on mutable entries.
   query_result execute(const query_request& req, const graph_entry& e,
-                       const cancel_token& token);
+                       const cancel_token& token,
+                       point_bfs_scratch* pb_scratch);
   static cache_key make_key(const query_request& req, uint64_t epoch);
 
   registry& registry_;
@@ -302,12 +266,6 @@ class query_executor {
   engine_stats stats_;
   obs::gauge* g_queue_depth_;  // engine_queue_depth
   obs::gauge* g_running_;      // engine_running
-  // Batched-execution observability (docs/OBSERVABILITY.md).
-  obs::counter* c_batches_;        // engine_batch_batches_total
-  obs::counter* c_batch_members_;  // engine_batch_members_total
-  obs::counter* c_batch_dedup_;    // engine_batch_dedup_total
-  obs::histogram* h_batch_width_;  // engine_batch_width
-  obs::histogram* h_batch_wait_;   // engine_batch_wait_micros
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;
@@ -336,8 +294,6 @@ class query_executor {
 
   // Counter feeding the deterministic-per-process sampling hash draw.
   std::atomic<uint64_t> sample_ctr_{0};
-  // Batch ids handed to trace records (1-based; 0 = unbatched).
-  std::atomic<uint64_t> batch_seq_{0};
 };
 
 }  // namespace ligra::engine

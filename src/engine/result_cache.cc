@@ -64,33 +64,6 @@ void result_cache::put(const cache_key& key,
   }
 }
 
-std::vector<std::shared_ptr<const query_result>> result_cache::get_many(
-    const std::vector<cache_key>& keys) {
-  std::vector<std::shared_ptr<const query_result>> out(keys.size());
-  uint64_t hits = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (size_t i = 0; i < keys.size(); i++) {
-      auto it = map_.find(keys[i]);
-      if (it != map_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-        out[i] = it->second->second;
-        hits++;
-      }
-    }
-  }
-  const uint64_t misses = keys.size() - hits;
-  if (hits > 0) {
-    hits_.fetch_add(hits, std::memory_order_relaxed);
-    if (m_hits_ != nullptr) m_hits_->inc(hits);
-  }
-  if (misses > 0) {
-    misses_.fetch_add(misses, std::memory_order_relaxed);
-    if (m_misses_ != nullptr) m_misses_->inc(misses);
-  }
-  return out;
-}
-
 void result_cache::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   lru_.clear();

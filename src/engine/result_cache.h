@@ -97,14 +97,6 @@ class result_cache {
   // when at capacity.
   void put(const cache_key& key, std::shared_ptr<const query_result> value);
 
-  // Batched probe: out[i] = the cached result for keys[i] (recency
-  // refreshed) or nullptr, under ONE lock acquisition for the whole batch.
-  // Hit/miss counters advance per key, exactly as `keys.size()` get()
-  // calls would. The coalescer probes a whole batch this way before
-  // fanning out (docs/ENGINE.md "Batched execution").
-  std::vector<std::shared_ptr<const query_result>> get_many(
-      const std::vector<cache_key>& keys);
-
   // Drops all entries; counters are preserved (they describe the lifetime
   // of the cache, not its current contents).
   void clear();

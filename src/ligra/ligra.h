@@ -14,6 +14,7 @@
 #include "graph/stats.h"
 #include "ligra/bucket.h"
 #include "ligra/edge_map.h"
+#include "ligra/point_bfs.h"
 #include "ligra/vertex_map.h"
 #include "ligra/vertex_subset.h"
 #include "parallel/atomics.h"

@@ -1,13 +1,11 @@
 // Bit-parallel multi-source BFS — the paper's Figure 6 (Radii) traversal
-// extracted into a reusable primitive (docs/ENGINE.md "Batched execution").
+// extracted into a reusable primitive.
 //
 // Up to 64 simultaneous breadth-first searches share one pass over the
 // graph: search i's visited set is bit i of a per-vertex uint64_t, and one
 // edge relaxation propagates the whole union `visited[v] | visited[u]` at
 // once. Every cache line an edge_map round touches is amortized across the
-// full batch, which is why coalescing 64 point queries into one traversal
-// wins by an order of magnitude even on a single core — the parallelism is
-// word-level, not thread-level.
+// full batch — the parallelism is word-level, not thread-level.
 //
 // Two entry points share the driver:
 //   * multi_bfs_sweep — per-vertex "last round my bit set grew" fold, the
@@ -16,7 +14,8 @@
 //   * multi_bfs_distances — batched point queries: per (source slot,
 //     target) pair, the round the source's bit first set on the target,
 //     i.e. the exact BFS hop distance. Stops as soon as every pair is
-//     resolved. This is what the engine's query coalescer fans out onto.
+//     resolved. (The engine answers a single point query with
+//     ligra/point_bfs.h instead, which reads far fewer edges.)
 //
 // The driver runs on the standard edge_map kernel (dense / sparse /
 // blocked / bitmap frontiers all apply; options pass through), polls an
@@ -34,7 +33,7 @@
 namespace ligra {
 
 // Reusable per-run working memory: three n-sized vectors a steady-state
-// caller (one batch after another through the same dispatcher) allocates
+// caller (one sweep after another, as eccentricity runs them) allocates
 // once. Reset per run by the driver; contents are meaningless between runs.
 struct multi_bfs_scratch {
   std::vector<uint64_t> visited;
@@ -50,9 +49,8 @@ struct multi_bfs_options {
   // traversal. Throwing aborts the whole run (the exception propagates).
   std::function<void()> poll;
   // Called after each completed round with the 1-based round index and the
-  // number of vertices whose bit sets grew. Return false to stop early —
-  // the batching layer uses this to abandon a traversal every member of
-  // which has already been settled.
+  // number of vertices whose bit sets grew. Return false to stop early,
+  // e.g. once every watched pair the caller still cares about is settled.
   std::function<bool(int64_t round, size_t grew)> on_round;
   // Optional working-memory reuse (see multi_bfs_scratch).
   multi_bfs_scratch* scratch = nullptr;

@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "engine/status.h"
 #include "util/rng.h"
 
 namespace ligra::net {
@@ -150,17 +151,26 @@ engine::query_result client::run_retrying(wire_request req, int max_attempts,
   for (int attempt = 1;; attempt++) {
     try {
       return run(req);
-    } catch (const engine::shed_error& e) {
-      if (sheds) (*sheds)++;
-      if (attempt >= max_attempts) throw;
-      // The server sized this wait to its queue depth; honor it.
-      std::this_thread::sleep_for(e.retry_after);
-    } catch (const engine::rejected_error& e) {
-      if (rejects) (*rejects)++;
-      if (attempt >= max_attempts) throw;
-      auto wait = e.retry_after.count() > 0 ? e.retry_after : backoff;
-      std::this_thread::sleep_for(wait);
-      backoff = std::min(backoff * 2, opts_.max_backoff);
+    } catch (...) {
+      const engine::outcome o = engine::classify(std::current_exception());
+      const std::chrono::milliseconds advice(o.retry_after_ms);
+      switch (o.status) {
+        case engine::query_status::shed:
+          if (sheds) (*sheds)++;
+          if (attempt >= max_attempts) throw;
+          // The server sized this wait to its queue depth; honor it.
+          std::this_thread::sleep_for(advice);
+          break;
+        case engine::query_status::rejected:
+        case engine::query_status::shutting_down:
+          if (rejects) (*rejects)++;
+          if (attempt >= max_attempts) throw;
+          std::this_thread::sleep_for(advice.count() > 0 ? advice : backoff);
+          backoff = std::min(backoff * 2, opts_.max_backoff);
+          break;
+        default:
+          throw;
+      }
     }
   }
 }

@@ -103,8 +103,13 @@ class query_trace {
 };
 
 namespace detail {
-extern thread_local query_trace* tl_trace;
-extern thread_local trace_id tl_trace_id;
+// Defined inline, as edge_map.h's tl_scratch is. An `extern thread_local`
+// makes GCC test its TLS init hook and add the variable's offset from the
+// GOT; the linker relaxes that add to a flag-less lea, so under
+// -fsanitize=null the null check reads the hook test's flags and every
+// store here reported a store to a null pointer.
+inline thread_local query_trace* tl_trace = nullptr;
+inline thread_local trace_id tl_trace_id = {};
 }  // namespace detail
 
 // The trace id of the query running on this thread (zero when none). The

@@ -26,11 +26,6 @@ std::string trace_record::to_json(bool full) const {
                 exec_micros, retry_after_ms,
                 static_cast<unsigned long long>(rounds));
   out += buf;
-  if (batch_width > 0) {
-    std::snprintf(buf, sizeof(buf), ",\"batch_id\":%llu,\"batch_width\":%u",
-                  static_cast<unsigned long long>(batch_id), batch_width);
-    out += buf;
-  }
   if (!error.empty()) out += ",\"error\":\"" + json_escape(error) + "\"";
   if (full) {
     out += ",\"trace\":";

@@ -50,11 +50,6 @@ struct trace_record {
   double exec_micros = 0.0;
   uint32_t retry_after_ms = 0;  // shed/rejected advice the caller was given
   uint64_t rounds = 0;          // edge_map rounds the armed trace captured
-  // Batched execution (docs/ENGINE.md): when this query was served as a
-  // member of a coalesced multi-BFS fan-out, the batch's id (unique per
-  // executor) and how many members shared the traversal. 0/0 = unbatched.
-  uint64_t batch_id = 0;
-  uint32_t batch_width = 0;
   std::string error;            // message for non-ok outcomes
   std::string trace_json;       // query_trace::to_json(); "" = summary only
 

@@ -37,8 +37,7 @@ registry_t& reg() {
 // outside this list so a typo'd LIGRA_FAILPOINTS entry is visible instead
 // of silently never firing.
 constexpr const char* kKnownSites[] = {
-    "batch.fanout",       "cache.insert",      "checkpoint.write",
-    "dynamic.apply.alloc",
+    "cache.insert",       "checkpoint.write",  "dynamic.apply.alloc",
     "dynamic.compact",    "epoch.fill",        "executor.dispatch",
     "graph_io.read",
     "net.accept",         "net.read",          "net.write",

@@ -25,6 +25,7 @@
 #include "engine/engine.h"
 #include "graph/generators.h"
 #include "ligra/edge_map.h"
+#include "ligra/point_bfs.h"
 #include "util/rng.h"
 
 using namespace ligra;
@@ -256,7 +257,7 @@ TEST(MutableGraph, EdgeMapRunsOverLiveView) {
   graph mat = a.next.materialize();
   auto full = apps::bfs_levels(mat, 0);
   for (vertex_id t : {vertex_id{1}, n / 2, n - 1})
-    EXPECT_EQ(dyn::bfs_hop_distance(a.next, 0, t), full[t]) << "target " << t;
+    EXPECT_EQ(point_bfs(a.next, 0, t), full[t]) << "target " << t;
 }
 
 // --- incremental recompute (property tests) --------------------------------
@@ -627,8 +628,7 @@ TEST(DynamicConcurrency, ReadersOnOldEpochWhileApplying) {
       size_t i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         vertex_id src = static_cast<vertex_id>(r[i++] % n);
-        (void)dyn::bfs_hop_distance(*h0->dyn(), src,
-                                    static_cast<vertex_id>(r[i++] % n));
+        (void)point_bfs(*h0->dyn(), src, static_cast<vertex_id>(r[i++] % n));
         EXPECT_EQ(h0->num_edges(), m0);
         reads.fetch_add(1, std::memory_order_relaxed);
       }

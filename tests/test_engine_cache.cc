@@ -159,49 +159,3 @@ TEST(EngineCache, ConcurrentCounterUpdatesDoNotTear) {
   EXPECT_EQ(c.hits + c.misses, uint64_t(kThreads) * kOps);
   EXPECT_EQ(c.hits, uint64_t(kThreads) * kOps / 2);  // half the keys exist
 }
-
-// --- batched accessors (one lock per batch; docs/ENGINE.md) -----------------
-
-TEST(EngineCache, GetManyMirrorsIndividualGets) {
-  e::result_cache cache(8);
-  cache.put(key(1, 0), value(10));
-  cache.put(key(1, 2), value(12));
-  auto found = cache.get_many({key(1, 0), key(1, 1), key(1, 2), key(9, 0)});
-  ASSERT_EQ(found.size(), 4u);
-  ASSERT_NE(found[0], nullptr);
-  EXPECT_EQ(found[0]->value, 10);
-  EXPECT_EQ(found[1], nullptr);
-  ASSERT_NE(found[2], nullptr);
-  EXPECT_EQ(found[2]->value, 12);
-  EXPECT_EQ(found[3], nullptr);
-  // Counters advance exactly as four individual get() calls would.
-  auto c = cache.counters();
-  EXPECT_EQ(c.hits, 2u);
-  EXPECT_EQ(c.misses, 2u);
-}
-
-TEST(EngineCache, GetManyRefreshesRecency) {
-  e::result_cache cache(2);
-  cache.put(key(1, 1), value(1));
-  cache.put(key(1, 2), value(2));
-  (void)cache.get_many({key(1, 1)});  // refresh 1: now 2 is LRU
-  cache.put(key(1, 3), value(3));    // evicts 2
-  EXPECT_EQ(cache.get(key(1, 2)), nullptr);
-  EXPECT_NE(cache.get(key(1, 1)), nullptr);
-}
-
-TEST(EngineCache, BatchedAccessorsNoOpWhenDisabled) {
-  e::result_cache cache(0);
-  cache.put(key(1, 1), value(1));
-  auto found = cache.get_many({key(1, 1)});
-  ASSERT_EQ(found.size(), 1u);
-  EXPECT_EQ(found[0], nullptr);
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(EngineCache, EmptyBatchesAreHarmless) {
-  e::result_cache cache(4);
-  EXPECT_TRUE(cache.get_many({}).empty());
-  auto c = cache.counters();
-  EXPECT_EQ(c.hits + c.misses + c.insertions, 0u);
-}

@@ -758,51 +758,3 @@ TEST_F(RobustnessTest, EpochFillFaultPublishesNothingAndTheNextQueryFills) {
   EXPECT_EQ(snap.failed, 1u);
   EXPECT_EQ(snap.completed, 1u);
 }
-
-// --- batched fan-out faults -------------------------------------------------
-
-TEST_F(RobustnessTest, BatchFanoutFaultFailsMembersNotTheCoalescer) {
-  if (!fp::compiled_in()) GTEST_SKIP() << "failpoints compiled out";
-  e::registry reg;
-  reg.add("g", small_graph());
-  e::query_executor ex(
-      reg, {.max_concurrency = 1, .cache_capacity = 0, .use_pool = false});
-
-  auto bfs = [](vertex_id s, vertex_id t) {
-    e::query_request q;
-    q.graph = "g";
-    q.kind = e::query_kind::bfs_distance;
-    q.source = s;
-    q.target = t;
-    return q;
-  };
-
-  // Hold the dispatcher so four members coalesce, then fail the fan-out.
-  blocker b;
-  auto bf = ex.submit(b.request("g"));
-  while (b.started.load() < 1) std::this_thread::yield();
-  std::vector<std::future<e::query_result>> futs;
-  for (vertex_id i = 0; i < 4; i++)
-    futs.push_back(ex.submit(bfs(i, 100 + i)));
-  fp::arm("batch.fanout", fail_spec(/*count=*/1));
-  b.release.set_value();
-  bf.get();
-
-  // Every member fails with the typed error — no hang, no partial settles.
-  for (auto& f : futs) EXPECT_THROW(f.get(), e::engine_error);
-  ex.wait_idle();
-  EXPECT_EQ(ex.stats().failed, 4u);
-
-  // The coalescer itself is unhurt: the next batch answers normally.
-  blocker b2;
-  auto bf2 = ex.submit(b2.request("g"));
-  while (b2.started.load() < 1) std::this_thread::yield();
-  std::vector<std::future<e::query_result>> futs2;
-  for (vertex_id i = 0; i < 4; i++)
-    futs2.push_back(ex.submit(bfs(i, 100 + i)));
-  b2.release.set_value();
-  bf2.get();
-  for (auto& f : futs2) EXPECT_GE(f.get().value, -1);
-  EXPECT_EQ(ex.metrics().get_counter("engine_batch_batches_total").value(),
-            2u);
-}

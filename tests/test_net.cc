@@ -3,7 +3,8 @@
 // the WAL-fuzz discipline of test_durability.cc applied to frames), and
 // end-to-end loopback serving: typed results, the full error taxonomy
 // crossing the wire (deadline, shed + retry_after, rejected, not_found),
-// per-connection in-flight caps, HTTP /metrics + /healthz, net.* failpoint
+// the client's retry loop over shed and rejected refusals, per-connection
+// in-flight caps, HTTP /metrics + /healthz, net.* failpoint
 // injection, engine_net_* metrics, and graceful drain.
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 
 #include "engine/engine.h"
 #include "graph/generators.h"
+#include "ligra/point_bfs.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
@@ -530,6 +532,68 @@ TEST_F(NetTest, ShedRetryAfterCrossesTheWire) {
   b.release.set_value();
   blocked.get();
   queued.get();
+  srv.stop();
+}
+
+TEST_F(NetTest, RunRetryingAbsorbsOneShedAndOneRejection) {
+  const graph g = small_graph();
+  e::registry reg;
+  reg.add("g", g);
+  // One dispatcher: low priority is shed at 8 queued, anything is rejected
+  // at 16.
+  e::query_executor ex(reg, {.max_concurrency = 1,
+                             .max_queue = 16,
+                             .shed_watermark = 8,
+                             .cache_capacity = 0,
+                             .use_pool = false});
+  n::server srv(ex);
+  srv.start();
+  n::client c;
+  c.connect("127.0.0.1", srv.port());
+  size_t sheds = 0, rejects = 0;
+
+  // Holds the dispatcher, queues `fill` queries, and sends `req` through
+  // run_retrying on another thread. Once the engine has counted the
+  // refusal (`counter`), the queue is released; the retry waits out the
+  // server's advice (160 ms and 180 ms here), long after the queue drains.
+  auto refused_once = [&](n::wire_request req, vertex_id fill,
+                          const std::string& counter) {
+    blocker b;
+    auto blocked = ex.submit(b.request("g"));
+    while (b.started.load() == 0) std::this_thread::yield();
+    std::vector<std::future<e::query_result>> queued;
+    for (vertex_id i = 0; i < fill; i++) {
+      e::query_request q;
+      q.graph = "g";
+      q.kind = e::query_kind::bfs_distance;
+      q.source = i;
+      q.target = i + 1;
+      queued.push_back(ex.submit(q));
+    }
+    const obs::counter& refusals = ex.metrics().get_counter(counter);
+    const uint64_t before = refusals.value();
+    auto answer = std::async(std::launch::async, [&c, req, &sheds, &rejects] {
+      return c.run_retrying(req, 8, &sheds, &rejects);
+    });
+    while (refusals.value() == before) std::this_thread::yield();
+    b.release.set_value();
+    blocked.get();
+    for (auto& f : queued) f.get();
+    return answer.get().value;
+  };
+
+  n::wire_request low = bfs_request(0, 3, 40);
+  low.priority = e::query_priority::low;
+  EXPECT_EQ(refused_once(low, 15, "engine_queries_shed_total"),
+            point_bfs(g, 3, 40));
+  EXPECT_EQ(sheds, 1u);
+  EXPECT_EQ(rejects, 0u);
+
+  EXPECT_EQ(refused_once(bfs_request(0, 7, 90), 16,
+                         "engine_queries_rejected_total"),
+            point_bfs(g, 7, 90));
+  EXPECT_EQ(sheds, 1u);
+  EXPECT_EQ(rejects, 1u);
   srv.stop();
 }
 
