@@ -3,8 +3,6 @@
 //
 // Axes:
 //   * cold vs warm cache (the repeated-query amortization the engine adds),
-//   * pool-injected query bodies (use_pool) vs sequential dispatcher
-//     execution,
 //   * concurrency limit sweep.
 // The printed table gives the serving-shaped summary (p50/p99/hit rate);
 // the google-benchmark timings below it give stable regression numbers.
@@ -108,23 +106,18 @@ void print_summary() {
               "graphs ===\n");
   table_printer t({"Config", "cold req/s", "warm req/s", "warm hit rate"});
   auto reqs = workload(1000);
-  for (bool use_pool : {true, false}) {
-    engine::executor_options opts;
-    opts.use_pool = use_pool;
-    engine::query_executor ex(shared_registry(), opts);
-    double cold = replay_seconds(ex, reqs);
-    auto cold_hits = ex.stats().cache.hits;
-    double warm = replay_seconds(ex, reqs);
-    auto snap = ex.stats();
-    char hit[32];
-    std::snprintf(hit, sizeof(hit), "%.1f%%",
-                  100.0 * static_cast<double>(snap.cache.hits - cold_hits) /
-                      static_cast<double>(reqs.size()));
-    t.add_row({use_pool ? "pool-injected" : "sequential-dispatch",
-               format_double(static_cast<double>(reqs.size()) / cold, 0),
-               format_double(static_cast<double>(reqs.size()) / warm, 0),
-               hit});
-  }
+  engine::query_executor ex(shared_registry(), {});
+  double cold = replay_seconds(ex, reqs);
+  auto cold_hits = ex.stats().cache.hits;
+  double warm = replay_seconds(ex, reqs);
+  auto snap = ex.stats();
+  char hit[32];
+  std::snprintf(hit, sizeof(hit), "%.1f%%",
+                100.0 * static_cast<double>(snap.cache.hits - cold_hits) /
+                    static_cast<double>(reqs.size()));
+  t.add_row({"executor",
+             format_double(static_cast<double>(reqs.size()) / cold, 0),
+             format_double(static_cast<double>(reqs.size()) / warm, 0), hit});
   t.print();
   std::printf("\n");
 }
@@ -191,12 +184,11 @@ void print_point_bfs_summary() {
   table_printer table({"Input", "full BFS q/s", "executor q/s", "speedup",
                        "executor p99 (us)"});
   for (const char* input : {"rmat", "unif"}) {
-    // Arm A: 64 submissions per wave through one sequential dispatcher
-    // (max_concurrency=1, use_pool=false: the honest single-core serving
-    // shape) with the result cache off, so every query searches.
+    // Arm A: 64 submissions per wave through one dispatcher
+    // (max_concurrency=1: the honest single-core serving shape) with the
+    // result cache off, so every query searches.
     engine::executor_options opts;
     opts.max_concurrency = 1;
-    opts.use_pool = false;
     opts.cache_capacity = 0;
     engine::query_executor ex(reg, opts);
     const arm_result executor = run_point_bfs_arm(

@@ -6,6 +6,8 @@
 // Modes:
 //   ./examples/query_server                       # built-in demo workload
 //   ./examples/query_server -n 5000 -conc 8       # bigger synthetic replay
+//       (-conc N: dispatcher threads, each running the bodies of the
+//       queries it dequeues; default one per scheduler worker)
 //   ./examples/query_server -requests reqs.txt -load social=g.adj,sym
 //   ./examples/query_server -repl -load road=g.bin,weighted
 //
@@ -146,7 +148,7 @@ engine::graph_handle add_mutable_graph(engine::registry& reg,
   return reg.add_mutable(name, make(), dir, dcfg.dur);
 }
 
-// Parses "name=path[,weighted][,sym][,compress][,mutable]" and loads it.
+// Parses "name=path[,weighted][,sym][,mutable]" and loads it.
 void load_spec(engine::registry& reg, const std::string& spec,
                const durability_config& dcfg) {
   auto eq = spec.find('=');
@@ -168,8 +170,6 @@ void load_spec(engine::registry& reg, const std::string& spec,
       opts.weighted = true;
     } else if (part == "sym" || part == "symmetric") {
       opts.symmetric = true;
-    } else if (part == "compress") {
-      opts.compress = true;
     } else if (part == "mutable") {
       want_mutable = true;
     } else {
@@ -188,11 +188,10 @@ void load_spec(engine::registry& reg, const std::string& spec,
     h = add_mutable_graph(reg, name, dcfg,
                           [&]() { return std::move(base); });
   }
-  std::printf("loaded '%s' from %s: %u vertices, %llu edges%s%s%s\n",
+  std::printf("loaded '%s' from %s: %u vertices, %llu edges%s%s\n",
               name.c_str(), path.c_str(), h->num_vertices(),
               static_cast<unsigned long long>(h->num_edges()),
               h->weighted() ? ", weighted" : "",
-              h->compressed() ? ", compressed replica" : "",
               h->is_mutable() ? ", mutable" : "");
 }
 
@@ -916,7 +915,6 @@ int main(int argc, char* argv[]) {
   opts.max_concurrency = static_cast<size_t>(cli.get_int("conc", 0));
   opts.max_queue = static_cast<size_t>(cli.get_int("queue", 256));
   opts.cache_capacity = static_cast<size_t>(cli.get_int("cache", 4096));
-  opts.use_pool = !cli.has("no-pool");
   opts.shed_watermark =
       static_cast<size_t>(cli.get_int("shed-watermark", 0));
   opts.metrics = &metrics;

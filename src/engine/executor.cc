@@ -44,40 +44,6 @@ std::exception_ptr stop_error(const cancel_token& token, const char* when) {
                           std::string("query cancelled ") + when);
 }
 
-// Runs `fn` as a query body; returns what it threw (null on success). The
-// trace and the dispatcher's round scratch are installed *inside* the body
-// closure: with `on_pool` the body runs on a pool worker thread, and that
-// is where edge_map must see them (query bodies execute whole on one
-// worker — run_on_pool injects the closure, it does not split it). The
-// scratch is owned by the dispatcher, which runs one body at a time, so
-// consecutive queries through the same dispatcher reuse warmed buffers;
-// the scope nests, so a body injected onto a worker that is mid-join in
-// another query never sees that query's scratch. The trace installed is
-// the *effective* one (caller's or executor-armed), and the trace id rides
-// along so log lines fired inside the body correlate.
-template <class F>
-std::exception_ptr run_body(obs::query_trace* trace, const obs::trace_id& tid,
-                            edge_map_scratch* scratch, bool on_pool, F&& fn) {
-  std::exception_ptr err;
-  auto body = [&]() noexcept {
-    obs::trace_scope tracing(trace);
-    obs::trace_id_scope id_scope(tid);
-    edge_map_scratch_scope scratch_scope(scratch);
-    obs::span_scope span("execute");
-    try {
-      fn();
-    } catch (...) {
-      err = std::current_exception();
-    }
-  };
-  if (on_pool) {
-    parallel::run_on_pool(body);
-  } else {
-    body();
-  }
-  return err;
-}
-
 }  // namespace
 
 query_executor::query_executor(registry& graphs, executor_options opts)
@@ -92,11 +58,10 @@ query_executor::query_executor(registry& graphs, executor_options opts)
       g_queue_depth_(&metrics_->get_gauge("engine_queue_depth")),
       g_running_(&metrics_->get_gauge("engine_running")) {
   // Force pool construction from this thread before any dispatcher starts:
-  // lazy construction from a dispatcher would adopt it as worker 0 and
-  // alias deque ownership with the caller's thread.
+  // lazy construction from a dispatcher would make it worker 0, so its
+  // bodies alone would fork into the pool.
   size_t workers = static_cast<size_t>(parallel::num_workers());
-  if (opts_.max_concurrency == 0)
-    opts_.max_concurrency = std::min<size_t>(4, workers);
+  if (opts_.max_concurrency == 0) opts_.max_concurrency = workers;
   if (opts_.max_queue == 0) opts_.max_queue = 1;
   dispatchers_.reserve(opts_.max_concurrency);
   for (size_t i = 0; i < opts_.max_concurrency; i++)
@@ -474,13 +439,13 @@ query_result query_executor::run(const query_request& req) {
     if (r != nullptr) out = std::move(*r);
     err = std::move(e);
   });
-  if (!j->finished) run_job(*j, nullptr, nullptr, /*on_pool=*/false);
+  if (!j->finished) run_job(*j, nullptr, nullptr);
   if (err) std::rethrow_exception(err);
   return out;
 }
 
 void query_executor::run_job(job& j, edge_map_scratch* scratch,
-                             point_bfs_scratch* pb_scratch, bool on_pool) {
+                             point_bfs_scratch* pb_scratch) {
   // Prologue: close the queued span, and finish without running a job
   // whose token tripped while it waited — caller cancel, deadline, or the
   // watchdog (which trips the token before it settles the query).
@@ -492,13 +457,25 @@ void query_executor::run_job(job& j, edge_map_scratch* scratch,
     return;
   }
   query_result r;
+  std::exception_ptr err;
   const monotonic_time t0 = mono_now();
-  std::exception_ptr err = run_body(j.trace, j.tid, scratch, on_pool, [&] {
-    if (LIGRA_FAILPOINT("executor.dispatch"))
-      throw engine_error(
-          "injected dispatch failure (failpoint executor.dispatch)");
-    r = execute(j.req, *j.handle, j.token, pb_scratch);
-  });
+  {
+    // The body's context: the effective trace (caller's or executor-armed),
+    // the trace id (so log lines fired inside the body correlate), and the
+    // dispatcher's round scratch.
+    obs::trace_scope tracing(j.trace);
+    obs::trace_id_scope id_scope(j.tid);
+    edge_map_scratch_scope scratch_scope(scratch);
+    obs::span_scope span("execute");
+    try {
+      if (LIGRA_FAILPOINT("executor.dispatch"))
+        throw engine_error(
+            "injected dispatch failure (failpoint executor.dispatch)");
+      r = execute(j.req, *j.handle, j.token, pb_scratch);
+    } catch (...) {
+      err = std::current_exception();
+    }
+  }
   finish(j, micros_since(t0), err ? nullptr : &r, err);
 }
 
@@ -541,7 +518,7 @@ void query_executor::dispatcher_loop() {
       g_queue_depth_->set(static_cast<int64_t>(queue_.size()));
       g_running_->set(static_cast<int64_t>(running_));
     }
-    run_job(*j, &scratch, &pb_scratch, opts_.use_pool);
+    run_job(*j, &scratch, &pb_scratch);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       running_--;

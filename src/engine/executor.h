@@ -21,14 +21,11 @@
 // never poll, so an outcome is never late just because a body is
 // uncooperative. Late results from an already-settled job are discarded.
 //
-// Dispatcher threads are deliberately NOT compute threads: with
-// `use_pool = true` (default) each query body is injected into the existing
-// work-stealing scheduler via parallel::run_on_pool, so queries get
-// intra-query parallelism from the one global pool and `max_concurrency`
-// bounds how many query roots compete for it — no oversubscription, no
-// second thread army. With `use_pool = false` each query runs sequentially
-// on its dispatcher thread (predictable per-query latency when many queries
-// run at once).
+// The dispatchers are the serving compute threads: each runs the body of
+// the query it dequeued to completion, itself. A dispatcher is not a pool
+// worker, so parallel constructs inside a body run inline on it; served
+// bodies are point searches and lookups, cheaper than a hand-off to the
+// pool would be (docs/ENGINE.md "Dispatchers run the bodies").
 #pragma once
 
 #include <array>
@@ -72,7 +69,8 @@ namespace ligra::engine {
 using settle_fn = std::function<void(query_result* r, std::exception_ptr err)>;
 
 struct executor_options {
-  // Concurrent queries in flight. 0 picks min(4, parallel::num_workers()).
+  // Concurrent queries in flight, one dispatcher thread each. 0 picks
+  // parallel::num_workers().
   size_t max_concurrency = 0;
   // Admitted-but-not-running requests before submit() rejects.
   size_t max_queue = 256;
@@ -85,8 +83,6 @@ struct executor_options {
   std::array<size_t, kNumQueryKinds> per_kind_limits{};
   // Result-cache entries; 0 disables caching.
   size_t cache_capacity = 1024;
-  // Run query bodies inside the work-stealing pool (see header comment).
-  bool use_pool = true;
   // Publish stats/cache/queue metrics into this registry (so one exposition
   // covers the executor alongside the graph registry, scheduler, and
   // failpoints). Null = the executor creates and owns a private registry,
@@ -130,8 +126,7 @@ class query_executor {
   // exactly once with the outcome — query-level failures (unknown graph,
   // bad vertex, cancellation, deadline, ...) as typed exceptions — on
   // whichever thread settles the query: this one (cache hit, unknown
-  // graph), a dispatcher, a pool worker, or the watchdog. It must not
-  // block or throw.
+  // graph), a dispatcher, or the watchdog. It must not block or throw.
   void submit(query_request req, settle_fn on_settle);
   // The same, delivered through a future.
   std::future<query_result> submit(query_request req);
@@ -223,13 +218,12 @@ class query_executor {
   job_ptr make_job(query_request req, settle_fn on_settle);
   // The one query lifecycle (docs/ENGINE.md). Prologue: close the queued
   // span, and finish the job without running it if its token tripped while
-  // it waited. Body: execute(). Epilogue: finish(). `scratch` and
-  // `pb_scratch` are the calling dispatcher's edge_map round scratch and
-  // point-BFS marks (null: the body allocates its own), so steady-state
-  // queries allocate no traversal working memory; `on_pool` runs the body
-  // inside the work-stealing pool.
+  // it waited. Body: execute(), on the calling thread. Epilogue: finish().
+  // `scratch` and `pb_scratch` are the calling dispatcher's edge_map round
+  // scratch and point-BFS marks (null: the body allocates its own), so
+  // steady-state queries allocate no traversal working memory.
   void run_job(job& j, edge_map_scratch* scratch,
-               point_bfs_scratch* pb_scratch, bool on_pool);
+               point_bfs_scratch* pb_scratch);
   // Settles `j` with `r` (null on failure) or `err`, unless the watchdog
   // got there first: cache put, stats, observation, and on_settle — in
   // that order, exactly once per job.

@@ -221,32 +221,28 @@ graph_handle registry::load_once(const std::string& name,
         break;
     }
   }
-  // Validate *before* compressing or publishing: nothing below this point
+  // Validate *before* publishing: nothing below this point
   // may fail after the new epoch becomes visible (all-or-nothing reload).
   if (opts.validate) {
     io::validate_graph(e->g_, path);
     if (e->wg_) io::validate_graph(*e->wg_, path);
   }
-  if (opts.compress)
-    e->cg_ = compress::compressed_graph::from_graph(e->g_);
   e->name_ = name;
   return insert(std::move(e));
 }
 
-graph_handle registry::add(const std::string& name, graph g, bool compress) {
+graph_handle registry::add(const std::string& name, graph g) {
   auto e = std::make_shared<graph_entry>();
   e->name_ = name;
   e->g_ = std::move(g);
-  if (compress) e->cg_ = compress::compressed_graph::from_graph(e->g_);
   return insert(std::move(e));
 }
 
-graph_handle registry::add(const std::string& name, wgraph g, bool compress) {
+graph_handle registry::add(const std::string& name, wgraph g) {
   auto e = std::make_shared<graph_entry>();
   e->name_ = name;
   e->wg_ = std::move(g);
   e->g_ = structure_of(*e->wg_);
-  if (compress) e->cg_ = compress::compressed_graph::from_graph(e->g_);
   return insert(std::move(e));
 }
 
@@ -513,7 +509,6 @@ std::vector<entry_info> registry::list() const {
     info.name = name;
     info.epoch = e->epoch();
     info.weighted = e->weighted();
-    info.compressed = e->compressed() != nullptr;
     info.is_mutable = e->is_mutable();
     if (e->is_mutable()) {
       info.version = e->dyn()->version();
@@ -524,7 +519,6 @@ std::vector<entry_info> registry::list() const {
     info.num_vertices = e->num_vertices();
     info.num_edges = e->num_edges();
     info.memory_bytes = e->memory_bytes();
-    info.compressed_bytes = e->compressed_bytes();
     out.push_back(std::move(info));
   }
   return out;

@@ -14,10 +14,7 @@
 //
 // Weighted graphs keep both the weighted CSR (for SSSP) and an unweighted
 // structural view sharing the same shape (so BFS/PageRank/CC/k-core/triangle
-// queries run on weighted graphs too). With load_options::compress a
-// byte-coded Ligra+ replica of the structure is kept alongside and reported
-// in entry_info — the space/residency trade the memory-tiering follow-up
-// will act on.
+// queries run on weighted graphs too).
 //
 // Every entry also carries its epoch's whole-graph analytics — cc labels,
 // coreness, PageRank ranks — each filled once, on first use, and freed with
@@ -35,7 +32,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "compress/compressed_graph.h"
 #include "dynamic/checkpoint.h"
 #include "dynamic/incremental.h"
 #include "dynamic/mutable_graph.h"
@@ -69,8 +65,6 @@ struct load_options {
   // (adjacency) or symmetrize them (edge list). Ignored for binary files,
   // which record symmetry themselves.
   bool symmetric = false;
-  // Keep a byte-coded (Ligra+) replica of the structure alongside the CSR.
-  bool compress = false;
   // Run io::validate_graph on the loaded graph (and weighted view) before
   // publishing the new epoch; validation failure aborts the load and any
   // previously registered entry under the same name keeps serving.
@@ -188,11 +182,6 @@ class graph_entry {
     return *wg_;
   }
 
-  // Byte-coded replica, or nullptr unless loaded with compress=true.
-  const compress::compressed_graph* compressed() const {
-    return cg_ ? &*cg_ : nullptr;
-  }
-
   // The epoch's whole-graph analytics, one value per vertex
   // (docs/ENGINE.md "Per-epoch analytics"): connected-component labels
   // (smallest vertex id in the component), coreness, and PageRank ranks —
@@ -220,8 +209,6 @@ class graph_entry {
     if (const auto* a = ranks_.peek()) bytes += a->size() * sizeof(double);
     return bytes;
   }
-  // Footprint of the compressed replica (0 if none).
-  size_t compressed_bytes() const { return cg_ ? cg_->memory_bytes() : 0; }
 
  private:
   friend class registry;
@@ -229,7 +216,6 @@ class graph_entry {
   uint64_t epoch_ = 0;
   graph g_;  // empty for mutable entries (structure() materializes lazily)
   std::optional<wgraph> wg_;
-  std::optional<compress::compressed_graph> cg_;
   std::shared_ptr<const dynamic::mutable_graph> dyn_;
   std::shared_ptr<const dynamic::inc_state> inc_;
   mutable std::once_flag mat_once_;
@@ -248,14 +234,12 @@ struct entry_info {
   std::string name;
   uint64_t epoch = 0;
   bool weighted = false;
-  bool compressed = false;
   bool is_mutable = false;      // registered via add_mutable
   uint64_t version = 0;         // batches applied (mutable entries only)
   size_t delta_edges = 0;       // overlay size (mutable entries only)
   vertex_id num_vertices = 0;
   edge_id num_edges = 0;
   size_t memory_bytes = 0;
-  size_t compressed_bytes = 0;
 };
 
 class registry {
@@ -274,17 +258,17 @@ class registry {
 
   // Loads `path` and registers it as `name`, replacing any existing entry
   // (the old entry stays alive for queries still holding its handle).
-  // All-or-nothing: reading, structural validation, and compression all
-  // happen *before* the new epoch is published, so a failed (re)load leaves
-  // the previous entry serving untouched. Transient I/O failures are
-  // retried per opts.retry; throws load_error once the budget is exhausted
-  // or immediately on permanent (format/validation) errors.
+  // All-or-nothing: reading and structural validation both happen *before*
+  // the new epoch is published, so a failed (re)load leaves the previous
+  // entry serving untouched. Transient I/O failures are retried per
+  // opts.retry; throws load_error once the budget is exhausted or
+  // immediately on permanent (format/validation) errors.
   graph_handle load(const std::string& name, const std::string& path,
                     const load_options& opts = {});
 
   // Registers an in-memory graph (used by tests, benches, and generators).
-  graph_handle add(const std::string& name, graph g, bool compress = false);
-  graph_handle add(const std::string& name, wgraph g, bool compress = false);
+  graph_handle add(const std::string& name, graph g);
+  graph_handle add(const std::string& name, wgraph g);
 
   // Registers `g` as a *mutable* graph: the entry carries a
   // dynamic::mutable_graph view plus converged incremental state (connected

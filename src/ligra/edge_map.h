@@ -153,9 +153,8 @@ inline edge_map_scratch* current_edge_map_scratch() {
 }
 
 // Installs `s` as the current scratch for this scope (nullptr suspends).
-// Restores the previous scratch on destruction, so scopes nest — a nested
-// query body injected onto the same worker sees its own scratch, never a
-// half-used outer one.
+// Restores the previous scratch on destruction, so scopes nest — an inner
+// scope's rounds never see a half-used outer scratch.
 class edge_map_scratch_scope {
  public:
   explicit edge_map_scratch_scope(edge_map_scratch* s)

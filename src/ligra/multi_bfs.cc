@@ -62,11 +62,11 @@ void check_sources(const std::vector<vertex_id>& sources, vertex_id n) {
 }
 
 // Shared driver: seeds one bit per source, runs rounds until the frontier
-// empties or a hook stops it, and calls `after_round(round, visited, grew)`
-// (return false to stop) with the freshly-published bit sets. The returned
-// result's last_reached is moved out of the scratch when one was provided,
-// so scratch callers must not rely on it afterwards — they get the vectors
-// back (capacity intact) on the next run.
+// empties or `after_round(round, visited)` returns false, calling it with
+// the freshly-published bit sets. The returned result's last_reached is
+// moved out of the scratch when one was provided, so scratch callers must
+// not rely on it afterwards — they get the vectors back (capacity intact)
+// on the next run.
 template <typename AfterRound>
 multi_bfs_result drive(const graph& g, const std::vector<vertex_id>& sources,
                        const multi_bfs_options& opts, AfterRound after_round) {
@@ -103,13 +103,10 @@ multi_bfs_result drive(const graph& g, const std::vector<vertex_id>& sources,
     multi_bfs_f f{s.visited.data(), s.next_visited.data(),
                   s.last_reached.data(), round};
     vertex_subset next = edge_map(g, frontier, f, opts.edge_map);
-    const size_t grew = next.size();
     // Publish this round's unions for the next round.
     vertex_map(next, [&](vertex_id v) { s.visited[v] = s.next_visited[v]; });
     frontier = std::move(next);
-    bool keep_going = after_round(round, s.visited.data(), grew);
-    if (opts.on_round) keep_going = opts.on_round(round, grew) && keep_going;
-    if (!keep_going) break;
+    if (!after_round(round, s.visited.data())) break;
   }
 
   if (trace != nullptr) trace->end_span(span);
@@ -126,7 +123,7 @@ multi_bfs_result multi_bfs_sweep(const graph& g,
                                  const std::vector<vertex_id>& sources,
                                  const multi_bfs_options& opts) {
   return drive(g, sources, opts,
-               [](int64_t, const uint64_t*, size_t) { return true; });
+               [](int64_t, const uint64_t*) { return true; });
 }
 
 std::vector<int64_t> multi_bfs_distances(
@@ -155,7 +152,7 @@ std::vector<int64_t> multi_bfs_distances(
       pending++;
   }
 
-  auto watch = [&](int64_t round, const uint64_t* visited, size_t) {
+  auto watch = [&](int64_t round, const uint64_t* visited) {
     for (size_t i = 0; i < pairs.size(); i++) {
       if (dist[i] >= 0) continue;
       if ((visited[pairs[i].target] >> pairs[i].source_slot) & 1) {

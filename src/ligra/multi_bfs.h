@@ -48,10 +48,6 @@ struct multi_bfs_options {
   // Cancel/deadline polling site, called once per round before the
   // traversal. Throwing aborts the whole run (the exception propagates).
   std::function<void()> poll;
-  // Called after each completed round with the 1-based round index and the
-  // number of vertices whose bit sets grew. Return false to stop early,
-  // e.g. once every watched pair the caller still cares about is settled.
-  std::function<bool(int64_t round, size_t grew)> on_round;
   // Optional working-memory reuse (see multi_bfs_scratch).
   multi_bfs_scratch* scratch = nullptr;
 };

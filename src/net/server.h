@@ -14,8 +14,8 @@
 //     in-flight cap, protocol errors) are answered from the loop; the
 //     refusals the executor never saw are still recorded in its flight
 //     recorder and trace store (query_executor::observe_refusal).
-//   - The executor's own dispatchers/pool/watchdog run the query bodies,
-//     untouched. Each admitted request carries a continuation
+//   - The executor's own dispatchers run the query bodies, and its
+//     watchdog settles overdue ones, untouched. Each admitted request carries a continuation
 //     (query_executor::submit(req, on_settle)) that runs on whichever
 //     thread settles the query: it classifies the outcome, encodes the
 //     response frame, and posts it to an outbox + wake pipe under one

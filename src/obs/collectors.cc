@@ -21,10 +21,9 @@ uint64_t install_failpoint_collector(metrics_registry& reg) {
 uint64_t install_scheduler_collector(metrics_registry& reg) {
   return reg.add_collector([&reg] {
     auto stats = parallel::scheduler::instance().worker_stats();
-    uint64_t steals = 0, external = 0, parks = 0;
+    uint64_t steals = 0, parks = 0;
     for (size_t i = 0; i < stats.size(); i++) {
       steals += stats[i].steals;
-      external += stats[i].external_tasks;
       parks += stats[i].parks;
       std::string w = "{worker=\"" + std::to_string(i) + "\"}";
       reg.get_gauge("scheduler_steals" + w)
@@ -34,8 +33,6 @@ uint64_t install_scheduler_collector(metrics_registry& reg) {
     }
     reg.get_gauge("scheduler_workers").set(static_cast<int64_t>(stats.size()));
     reg.get_gauge("scheduler_steals").set(static_cast<int64_t>(steals));
-    reg.get_gauge("scheduler_external_tasks")
-        .set(static_cast<int64_t>(external));
     reg.get_gauge("scheduler_parks").set(static_cast<int64_t>(parks));
   });
 }

@@ -18,11 +18,10 @@ namespace ligra::obs {
 uint64_t install_failpoint_collector(metrics_registry& reg);
 
 // Publishes work-stealing scheduler activity: aggregate gauges
-// `scheduler_workers`, `scheduler_steals`, `scheduler_external_tasks`,
-// `scheduler_parks`, plus per-worker `scheduler_steals{worker="i"}` /
-// `scheduler_parks{worker="i"}` utilization breakdowns. Parks are ~1 ms
-// idle episodes, so `parks * 1ms / wall-time` approximates per-worker
-// idleness.
+// `scheduler_workers`, `scheduler_steals`, `scheduler_parks`, plus
+// per-worker `scheduler_steals{worker="i"}` / `scheduler_parks{worker="i"}`
+// utilization breakdowns. Parks are ~1 ms idle episodes, so
+// `parks * 1ms / wall-time` approximates per-worker idleness.
 uint64_t install_scheduler_collector(metrics_registry& reg);
 
 }  // namespace ligra::obs

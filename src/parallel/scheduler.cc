@@ -145,8 +145,6 @@ std::vector<worker_counters> scheduler::worker_stats() const {
   std::vector<worker_counters> out(static_cast<size_t>(num_workers_));
   for (int i = 0; i < num_workers_; i++) {
     out[i].steals = counters_[i].steals.load(std::memory_order_relaxed);
-    out[i].external_tasks =
-        counters_[i].external_tasks.load(std::memory_order_relaxed);
     out[i].parks = counters_[i].parks.load(std::memory_order_relaxed);
   }
   return out;
@@ -177,14 +175,6 @@ void scheduler::worker_loop(int id) {
     // Drain our own deque first (tasks forked by work we ran earlier).
     while (internal::task* t = deques_[id].pop_bottom()) t->execute();
     if (try_steal_and_run(rng_state)) {
-      failures = 0;
-      continue;
-    }
-    // Only an otherwise-idle worker picks up injected external work, so
-    // foreign-thread submissions never preempt an in-flight parallel region.
-    if (internal::task* ext = pop_external()) {
-      counters_[id].external_tasks.fetch_add(1, std::memory_order_relaxed);
-      ext->execute();
       failures = 0;
       continue;
     }
@@ -229,47 +219,6 @@ void scheduler::fork_join(internal::task* t, void (*left)(void*),
     return;
   }
   wait_for(t);  // a thief has it; help out until it finishes
-}
-
-internal::task* scheduler::pop_external() {
-  if (external_pending_.load(std::memory_order_acquire) == 0) return nullptr;
-  std::lock_guard<std::mutex> lock(external_mutex_);
-  if (external_queue_.empty()) return nullptr;
-  internal::task* t = external_queue_.front();
-  external_queue_.pop_front();
-  external_pending_.fetch_sub(1, std::memory_order_relaxed);
-  return t;
-}
-
-void scheduler::run_external(void (*f)(void*), void* arg) {
-  if (tl_worker_id >= 0 || num_workers_ == 1) {
-    // Pool thread (already in worker context) or sequential pool: inline.
-    f(arg);
-    return;
-  }
-  internal::task t;
-  t.run = f;
-  t.arg = arg;
-  {
-    std::lock_guard<std::mutex> lock(external_mutex_);
-    external_queue_.push_back(&t);
-    external_pending_.fetch_add(1, std::memory_order_release);
-  }
-  {
-    std::lock_guard<std::mutex> lock(park().mutex);
-    park().cv.notify_all();
-  }
-  // The submitting thread is foreign — it cannot help the pool, so wait
-  // cheaply: brief yielding for short tasks, then coarse sleeps (queries
-  // run for milliseconds; 50 us granularity is noise).
-  int spins = 0;
-  while (!t.done.load(std::memory_order_acquire)) {
-    if (++spins < 1024) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  }
 }
 
 void scheduler::wait_for(internal::task* t) {

@@ -18,9 +18,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -77,12 +75,11 @@ class deque {
 
 // Per-worker activity counters (observability; see docs/OBSERVABILITY.md).
 // All bumps happen off the fork-join fast path: a successful steal already
-// paid a CAS, external tasks and parks are idle-path events. Counters reset
-// when the pool is rebuilt by set_num_workers.
+// paid a CAS, and parks are idle-path events. Counters reset when the pool
+// is rebuilt by set_num_workers.
 struct worker_counters {
-  uint64_t steals = 0;          // tasks taken from another worker's deque
-  uint64_t external_tasks = 0;  // injected (run_on_pool) tasks executed
-  uint64_t parks = 0;           // 1 ms park episodes (idle-time proxy)
+  uint64_t steals = 0;  // tasks taken from another worker's deque
+  uint64_t parks = 0;   // 1 ms park episodes (idle-time proxy)
 };
 
 // The global scheduler. Not constructed directly — use the free functions
@@ -111,18 +108,6 @@ class scheduler {
   // inline, then joins. Core primitive behind par_do.
   void fork_join(internal::task* t, void (*left)(void*), void* left_arg);
 
-  // Runs `f(arg)` on a pool worker thread and blocks until it completes.
-  // Called from a foreign thread, the closure is queued for an idle worker
-  // and therefore executes in worker context — nested par_do/parallel_for
-  // inside it get full work-stealing parallelism instead of the sequential
-  // degradation foreign threads otherwise see. Called from a pool thread
-  // (or with a 1-worker pool) it runs inline. `f` must not throw (same
-  // contract as par_do closures); callers that can fail must capture their
-  // own exception state. External tasks are only picked up by workers with
-  // no stealable work, so in-flight parallel regions are never delayed.
-  // Do not call set_num_workers while external tasks are outstanding.
-  void run_external(void (*f)(void*), void* arg);
-
   // Point-in-time copy of every worker's counters (index = worker id).
   // Relaxed reads of monotone counters: approximate while work is in
   // flight, exact when the pool is quiescent.
@@ -140,9 +125,6 @@ class scheduler {
   // One attempt to steal from a random victim and run the task.
   bool try_steal_and_run(uint64_t& rng_state);
   void wait_for(internal::task* t);
-  // Pops one queued external task, or nullptr. Cheap when none are pending
-  // (single relaxed atomic load before taking the lock).
-  internal::task* pop_external();
 
   int num_workers_;
   std::atomic<bool> shutdown_{false};
@@ -156,16 +138,9 @@ class scheduler {
   // contend and stats reads are tear-free per field.
   struct alignas(64) worker_counter_slot {
     std::atomic<uint64_t> steals{0};
-    std::atomic<uint64_t> external_tasks{0};
     std::atomic<uint64_t> parks{0};
   };
   worker_counter_slot* counters_;  // one per worker
-
-  // Tasks injected by foreign threads (run_external). Idle workers drain
-  // this queue after their own deque and steal attempts come up empty.
-  std::mutex external_mutex_;
-  std::deque<internal::task*> external_queue_;
-  std::atomic<int> external_pending_{0};
 
   friend struct scheduler_access;
 };
@@ -175,18 +150,6 @@ class scheduler {
 inline int num_workers() { return scheduler::instance().num_workers(); }
 inline int worker_id() { return scheduler::worker_id(); }
 inline void set_num_workers(int n) { scheduler::set_num_workers(n); }
-
-// Runs `f()` inside the worker pool and blocks until it completes (see
-// scheduler::run_external). The entry point the concurrent query engine
-// uses to give request threads real parallelism without oversubscribing
-// the pool with a second set of compute threads.
-template <class F>
-void run_on_pool(F&& f) {
-  using Fn = std::remove_reference_t<F>;
-  scheduler::instance().run_external(
-      [](void* a) { (*static_cast<Fn*>(a))(); },
-      const_cast<std::remove_const_t<Fn>*>(std::addressof(f)));
-}
 
 // Runs `left()` and `right()` potentially in parallel; returns when both
 // have completed. May be nested arbitrarily.

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <map>
 #include <thread>
@@ -52,8 +53,7 @@ e::query_request make_req(const std::string& g, e::query_kind kind,
 
 // A custom query that blocks until `release` is signalled; `started` flips
 // as soon as it begins running. Used to hold dispatcher slots
-// deterministically (always paired with use_pool=false so the scheduler's
-// workers are never parked on the latch).
+// deterministically.
 struct blocker {
   std::promise<void> release;
   std::shared_future<void> gate{release.get_future().share()};
@@ -180,8 +180,7 @@ TEST(EngineExecutor, CustomQueriesBypassCache) {
   EXPECT_EQ(calls.load(), 2);  // executed both times
 }
 
-TEST(EngineExecutor, QueriesRunInsideWorkerPool) {
-  if (parallel::num_workers() < 2) GTEST_SKIP() << "needs >= 2 workers";
+TEST(EngineExecutor, QueriesRunOnTheDispatcher) {
   fixture fx;
   e::query_executor ex(fx.reg, {});
   e::query_request q;
@@ -190,16 +189,27 @@ TEST(EngineExecutor, QueriesRunInsideWorkerPool) {
   q.custom = [](const e::graph_entry&, const e::cancel_token&) -> int64_t {
     return parallel::worker_id();
   };
-  EXPECT_GE(ex.submit(q).get().value, 0);  // worker context, not foreign
+  // The body runs on the dispatcher that dequeued it, outside the pool.
+  EXPECT_EQ(ex.submit(q).get().value, -1);
 }
 
-TEST(EngineExecutor, SequentialDispatchOptionStillCorrect) {
+TEST(EngineExecutor, EveryDispatcherRunsABlockingBody) {
+  // max_concurrency blocking bodies all start at once, whatever the pool
+  // size: no body waits for a pool thread.
   fixture fx;
   e::executor_options opts;
-  opts.use_pool = false;
+  opts.max_concurrency = 4;
   e::query_executor ex(fx.reg, opts);
-  auto r = ex.submit(make_req("social", e::query_kind::bfs_distance, 0, 7)).get();
-  EXPECT_EQ(r.value, apps::bfs_hop_distance(fx.social, 0, 7));
+
+  blocker blk;
+  std::vector<std::future<e::query_result>> futs;
+  for (int i = 0; i < 4; i++) futs.push_back(ex.submit(blk.request("social")));
+  auto until = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (blk.started.load() < 4 && std::chrono::steady_clock::now() < until)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(blk.started.load(), 4);
+  blk.release.set_value();
+  for (auto& f : futs) EXPECT_EQ(f.get().value, 7);
 }
 
 TEST(EngineExecutor, SaturatedQueueRejectsInsteadOfDeadlocking) {
@@ -207,7 +217,6 @@ TEST(EngineExecutor, SaturatedQueueRejectsInsteadOfDeadlocking) {
   e::executor_options opts;
   opts.max_concurrency = 1;
   opts.max_queue = 2;
-  opts.use_pool = false;  // blockers must not park pool workers
   e::query_executor ex(fx.reg, opts);
 
   blocker blk;
@@ -240,7 +249,6 @@ TEST(EngineExecutor, EvictedGraphQueryStillCompletes) {
   fixture fx;
   e::executor_options opts;
   opts.max_concurrency = 1;
-  opts.use_pool = false;
   e::query_executor ex(fx.reg, opts);
 
   blocker blk;

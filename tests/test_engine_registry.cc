@@ -115,17 +115,6 @@ TEST(EngineRegistry, UnweightedEntryRejectsWeightAccess) {
   EXPECT_THROW(h->weights(), e::engine_error);
 }
 
-TEST(EngineRegistry, CompressedReplica) {
-  e::registry reg;
-  auto plain = reg.add("p", small_graph());
-  auto packed = reg.add("c", small_graph(), /*compress=*/true);
-  EXPECT_EQ(plain->compressed(), nullptr);
-  ASSERT_NE(packed->compressed(), nullptr);
-  EXPECT_EQ(packed->compressed()->num_edges(), packed->structure().num_edges());
-  EXPECT_GT(packed->compressed_bytes(), 0u);
-  EXPECT_LT(packed->compressed_bytes(), packed->memory_bytes());
-}
-
 TEST(EngineRegistry, LoadAdjacencyAutoDetect) {
   TempFile f("reg_adj.txt");
   graph g = gen::rmat_graph(7, 1 << 10);

@@ -56,7 +56,7 @@ const graph& big_graph() {
 
 graph small_graph() { return gen::rmat_graph(8, 1 << 11, /*seed=*/3); }
 
-// Custom query that blocks until released; pairs with use_pool=false.
+// Custom query that blocks until released.
 struct blocker {
   std::promise<void> release;
   std::shared_future<void> gate{release.get_future().share()};
@@ -176,8 +176,7 @@ TEST_F(RobustnessTest, PreCancelledTokenStopsEveryKind) {
 TEST_F(RobustnessTest, MidFlightCancelStopsPollingBody) {
   e::registry reg;
   reg.add("g", small_graph());
-  e::query_executor ex(reg, {.max_concurrency = 1, .cache_capacity = 0,
-                             .use_pool = false});
+  e::query_executor ex(reg, {.max_concurrency = 1, .cache_capacity = 0});
 
   e::cancel_source src;
   std::atomic<bool> started{false};
@@ -204,8 +203,7 @@ TEST_F(RobustnessTest, MidFlightCancelStopsPollingBody) {
 TEST_F(RobustnessTest, WatchdogSettlesNonPollingBody) {
   e::registry reg;
   reg.add("g", small_graph());
-  e::query_executor ex(reg, {.max_concurrency = 1, .cache_capacity = 0,
-                             .use_pool = false});
+  e::query_executor ex(reg, {.max_concurrency = 1, .cache_capacity = 0});
 
   e::query_request q;
   q.graph = "g";
@@ -229,8 +227,7 @@ TEST_F(RobustnessTest, WatchdogSettlesNonPollingBody) {
 TEST_F(RobustnessTest, DeadlineExpiresWhileQueued) {
   e::registry reg;
   reg.add("g", small_graph());
-  e::query_executor ex(reg, {.max_concurrency = 1, .cache_capacity = 0,
-                             .use_pool = false});
+  e::query_executor ex(reg, {.max_concurrency = 1, .cache_capacity = 0});
 
   blocker b;
   auto blocked = ex.submit(b.request("g"));
@@ -508,8 +505,7 @@ TEST_F(RobustnessTest, ShedsLowPriorityPastWatermark) {
   e::registry reg;
   reg.add("g", small_graph());
   e::query_executor ex(reg, {.max_concurrency = 1, .max_queue = 8,
-                             .shed_watermark = 2, .cache_capacity = 0,
-                             .use_pool = false});
+                             .shed_watermark = 2, .cache_capacity = 0});
 
   blocker b;
   auto blocked = ex.submit(b.request("g"));
@@ -552,7 +548,7 @@ TEST_F(RobustnessTest, RejectedCarriesRetryAfterAdvice) {
   e::registry reg;
   reg.add("g", small_graph());
   e::query_executor ex(reg, {.max_concurrency = 1, .max_queue = 1,
-                             .cache_capacity = 0, .use_pool = false});
+                             .cache_capacity = 0});
 
   blocker b;
   auto blocked = ex.submit(b.request("g"));
@@ -582,8 +578,7 @@ TEST_F(RobustnessTest, RejectedCarriesRetryAfterAdvice) {
 TEST_F(RobustnessTest, DrainStopsAdmissionsAndEmptiesTheQueue) {
   e::registry reg;
   reg.add("g", small_graph());
-  e::query_executor ex(reg, {.max_concurrency = 1, .cache_capacity = 0,
-                             .use_pool = false});
+  e::query_executor ex(reg, {.max_concurrency = 1, .cache_capacity = 0});
 
   e::query_request q;
   q.graph = "g";
@@ -611,8 +606,7 @@ TEST_F(RobustnessTest, DrainStopsAdmissionsAndEmptiesTheQueue) {
 TEST_F(RobustnessTest, DrainDeadlineBoundsTheWait) {
   e::registry reg;
   reg.add("g", small_graph());
-  e::query_executor ex(reg, {.max_concurrency = 1, .cache_capacity = 0,
-                             .use_pool = false});
+  e::query_executor ex(reg, {.max_concurrency = 1, .cache_capacity = 0});
 
   blocker b;
   auto blocked = ex.submit(b.request("g"));
@@ -633,7 +627,6 @@ TEST_F(RobustnessTest, PerKindCapLetsOtherKindsRunAhead) {
   e::executor_options opts;
   opts.max_concurrency = 2;
   opts.cache_capacity = 0;
-  opts.use_pool = false;
   opts.per_kind_limits[static_cast<size_t>(e::query_kind::custom)] = 1;
   e::query_executor ex(reg, opts);
 

@@ -154,29 +154,16 @@ TEST(MultiBfs, PollThrowAbortsTraversal) {
   EXPECT_EQ(polls, 3);
 }
 
-TEST(MultiBfs, OnRoundFalseStopsEarly) {
-  auto g = gen::path_graph(64);
-  multi_bfs_options opts;
-  opts.on_round = [](int64_t round, size_t) { return round < 5; };
-  auto sweep = multi_bfs_sweep(g, {0}, opts);
-  EXPECT_EQ(sweep.num_rounds, 5);
-  EXPECT_EQ(sweep.last_reached[5], 5);
-  EXPECT_EQ(sweep.last_reached[6], -1);  // never traversed
-}
-
 TEST(MultiBfs, DistancesStopOnceAllPairsResolve) {
   // Path graph, target 3 hops out: the driver must not walk all 256
   // vertices once the only watch resolves.
   auto g = gen::path_graph(256);
   multi_bfs_options opts;
-  int64_t rounds_seen = 0;
-  opts.on_round = [&](int64_t round, size_t) {
-    rounds_seen = round;
-    return true;
-  };
+  int polls = 0;  // one per round, before its traversal
+  opts.poll = [&] { polls++; };
   auto dist = multi_bfs_distances(g, {0}, {{0, 3}}, opts);
   EXPECT_EQ(dist[0], 3);
-  EXPECT_EQ(rounds_seen, 3);
+  EXPECT_EQ(polls, 3);
 }
 
 TEST(MultiBfs, ScratchReuseAcrossRunsIsClean) {

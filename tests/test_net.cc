@@ -44,8 +44,8 @@ namespace {
 
 graph small_graph() { return gen::rmat_graph(8, 1 << 11, /*seed=*/3); }
 
-// Custom query that blocks until released; pairs with use_pool=false so it
-// occupies a dispatcher, making queue states deterministic.
+// Custom query that blocks until released; it occupies a dispatcher, making
+// queue states deterministic.
 struct blocker {
   std::promise<void> release;
   std::shared_future<void> gate{release.get_future().share()};
@@ -474,9 +474,7 @@ TEST_F(NetTest, DeadlineErrorCrossesTheWire) {
   reg.add("g", small_graph());
   // One dispatcher, occupied: the wire query sits queued past its 1 ms
   // budget and the watchdog settles it — deterministic on any machine.
-  e::query_executor ex(reg, {.max_concurrency = 1,
-                             .cache_capacity = 0,
-                             .use_pool = false});
+  e::query_executor ex(reg, {.max_concurrency = 1, .cache_capacity = 0});
   n::server srv(ex);
   srv.start();
 
@@ -500,8 +498,7 @@ TEST_F(NetTest, ShedRetryAfterCrossesTheWire) {
   reg.add("g", small_graph());
   e::query_executor ex(reg, {.max_concurrency = 1,
                              .shed_watermark = 1,
-                             .cache_capacity = 0,
-                             .use_pool = false});
+                             .cache_capacity = 0});
   n::server srv(ex);
   srv.start();
 
@@ -544,8 +541,7 @@ TEST_F(NetTest, RunRetryingAbsorbsOneShedAndOneRejection) {
   e::query_executor ex(reg, {.max_concurrency = 1,
                              .max_queue = 16,
                              .shed_watermark = 8,
-                             .cache_capacity = 0,
-                             .use_pool = false});
+                             .cache_capacity = 0});
   n::server srv(ex);
   srv.start();
   n::client c;
@@ -600,9 +596,7 @@ TEST_F(NetTest, RunRetryingAbsorbsOneShedAndOneRejection) {
 TEST_F(NetTest, PerConnectionInflightCapRejectsWithAdvice) {
   e::registry reg;
   reg.add("g", small_graph());
-  e::query_executor ex(reg, {.max_concurrency = 1,
-                             .cache_capacity = 0,
-                             .use_pool = false});
+  e::query_executor ex(reg, {.max_concurrency = 1, .cache_capacity = 0});
   n::server_options sopts;
   sopts.max_inflight_per_conn = 1;
   n::server srv(ex, sopts);
@@ -1112,7 +1106,6 @@ TEST_F(NetTest, DeadlineExceededQueryIsRetrievablePostMortem) {
   e::executor_options eopts;
   eopts.max_concurrency = 1;
   eopts.cache_capacity = 0;
-  eopts.use_pool = false;
   eopts.traces = &traces;
   eopts.flightrec = &flightrec;
   e::query_executor ex(reg, eopts);
@@ -1158,7 +1151,6 @@ TEST_F(NetTest, ShedRefusalCarriesTraceIdAndRetryAdvice) {
   eopts.max_concurrency = 1;
   eopts.shed_watermark = 1;
   eopts.cache_capacity = 0;
-  eopts.use_pool = false;
   eopts.traces = &traces;
   eopts.flightrec = &flightrec;
   e::query_executor ex(reg, eopts);

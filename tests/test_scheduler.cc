@@ -199,42 +199,10 @@ TEST(Scheduler, WorkIsActuallyDistributed) {
   EXPECT_EQ(sink.load(), n);
 }
 
-// --- external task injection (run_on_pool) ---------------------------------
+// --- foreign threads -------------------------------------------------------
 
-TEST(Scheduler, RunOnPoolFromWorkerRunsInline) {
-  (void)p::num_workers();  // pool exists; this thread is worker 0
-  bool ran = false;
-  p::run_on_pool([&] { ran = true; });
-  EXPECT_TRUE(ran);
-}
-
-TEST(Scheduler, RunOnPoolFromForeignThreadExecutesInWorkerContext) {
-  (void)p::num_workers();  // construct the pool from the main thread
-  int seen_id = -2;
-  std::thread t([&] {
-    EXPECT_EQ(p::worker_id(), -1);  // foreign thread
-    p::run_on_pool([&] { seen_id = p::worker_id(); });
-  });
-  t.join();
-  if (p::num_workers() > 1) {
-    EXPECT_GE(seen_id, 0);  // ran on a pool worker
-  } else {
-    EXPECT_EQ(seen_id, -1);  // 1-worker pool: inline on the foreign thread
-  }
-}
-
-TEST(Scheduler, RunOnPoolParallelForCoversRange) {
-  (void)p::num_workers();
-  const size_t n = 1 << 16;
-  std::vector<std::atomic<int>> hits(n);
-  std::thread t([&] {
-    p::run_on_pool(
-        [&] { p::parallel_for(0, n, [&](size_t i) { hits[i].fetch_add(1); }); });
-  });
-  t.join();
-  for (size_t i = 0; i < n; i++) ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-}
-
+// Concurrent query dispatchers are foreign threads that run parallel loops
+// inline; many of them at once must each cover their range exactly.
 TEST(Scheduler, ManyConcurrentForeignSubmissions) {
   (void)p::num_workers();
   const int threads = 8, rounds = 20;
@@ -245,28 +213,12 @@ TEST(Scheduler, ManyConcurrentForeignSubmissions) {
   for (int t = 0; t < threads; t++) {
     ts.emplace_back([&] {
       for (int r = 0; r < rounds; r++) {
-        p::run_on_pool([&] {
-          p::parallel_for(0, n, [&](size_t) {
-            total.fetch_add(1, std::memory_order_relaxed);
-          });
+        p::parallel_for(0, n, [&](size_t) {
+          total.fetch_add(1, std::memory_order_relaxed);
         });
       }
     });
   }
   for (auto& t : ts) t.join();
   EXPECT_EQ(total.load(), static_cast<uint64_t>(threads) * rounds * n);
-}
-
-TEST(Scheduler, RunOnPoolNestedInsidePoolTask) {
-  (void)p::num_workers();
-  std::atomic<int> count{0};
-  std::thread t([&] {
-    p::run_on_pool([&] {
-      // Already in worker context: nested call must run inline, not deadlock.
-      p::run_on_pool([&] { count.fetch_add(1); });
-      count.fetch_add(1);
-    });
-  });
-  t.join();
-  EXPECT_EQ(count.load(), 2);
 }
