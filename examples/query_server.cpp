@@ -72,6 +72,9 @@
 //
 // Every replay runs twice — cold (empty cache) and warm (same requests
 // again) — so the cache's effect on p50 is visible directly.
+//
+// A flag no mode reads (a typo, or a retired option such as -no-pool) is
+// refused: the binary prints "unknown flag -X" and exits 2.
 #include <csignal>
 #include <unistd.h>
 
@@ -828,6 +831,18 @@ void repl(engine::query_executor& ex) {
 
 int main(int argc, char* argv[]) {
   command_line cli(argc, argv);
+  // Every flag any mode reads. Anything else is a typo or a retired option;
+  // refuse it rather than run a different configuration than was asked for.
+  const auto unknown = cli.unknown_flags({
+      "bind", "cache", "cancel-rate", "checkpoint-interval", "conc",
+      "connect", "conns", "deadline-ms", "drain-ms", "failpoints",
+      "flightrec-capacity", "fsync", "graph", "http-port", "listen", "load",
+      "log-json", "log-level", "low-rate", "max-inflight", "metrics-dump",
+      "n", "queue", "repl", "requests", "shed-watermark", "slow-trace-ms",
+      "stats-interval", "trace-capacity", "trace-sample", "wal-dir"});
+  for (const auto& name : unknown)
+    std::fprintf(stderr, "unknown flag -%s\n", name.c_str());
+  if (!unknown.empty()) return 2;
   // Client mode needs no graphs or executor of its own — it talks to a
   // daemon that has them.
   if (cli.has("connect")) return run_client_mode(cli);

@@ -17,10 +17,17 @@
 //     resolved. (The engine answers a single point query with
 //     ligra/point_bfs.h instead, which reads far fewer edges.)
 //
-// The driver runs on the standard edge_map kernel (dense / sparse /
-// blocked / bitmap frontiers all apply; options pass through), polls an
-// optional cancel hook at round boundaries, and reuses caller-provided
-// working vectors across runs via multi_bfs_scratch.
+// Each round decides its direction by the paper's rule (|U| + outdeg(U) >
+// m / threshold_denominator) unless a strategy is forced. A dense round
+// runs the driver's own pull: every vertex not yet holding all k source
+// bits ORs in the sets of *all* its in-neighbours, with no frontier test and
+// no atomics — exact because a vertex's set only grows, so a non-frontier
+// in-neighbour has nothing new to give (DESIGN.md §5.9). Sparse rounds,
+// dense_forward, and automatic under prefer_dense_forward run the standard
+// edge_map kernel with the caller's options. Every round appends one trace
+// event and fills edge_map_options::stats, pull rounds as "dense". The
+// driver polls an optional cancel hook at round boundaries and reuses
+// caller-provided working vectors across runs via multi_bfs_scratch.
 #pragma once
 
 #include <cstdint>
@@ -42,8 +49,10 @@ struct multi_bfs_scratch {
 };
 
 struct multi_bfs_options {
-  // Kernel knobs for every round's traversal (strategy, blocked kernel,
-  // round scratch, stats) — same pass-through the apps take.
+  // Traversal knobs (strategy, threshold, blocked kernel, round scratch,
+  // stats) — same pass-through the apps take. Pull rounds use only the
+  // strategy, prefer_dense_forward, the threshold and stats; edge_map
+  // rounds use all of them.
   edge_map_options edge_map;
   // Cancel/deadline polling site, called once per round before the
   // traversal. Throwing aborts the whole run (the exception propagates).

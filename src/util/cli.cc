@@ -1,5 +1,6 @@
 #include "util/cli.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace ligra {
@@ -54,6 +55,15 @@ double command_line::get_double(const std::string& name, double def) const {
   for (const auto& [k, v] : flags_)
     if (k == name && !v.empty()) return std::strtod(v.c_str(), nullptr);
   return def;
+}
+
+std::vector<std::string> command_line::unknown_flags(
+    const std::vector<std::string>& known) const {
+  std::vector<std::string> unknown;
+  for (const auto& [k, v] : flags_)
+    if (std::find(known.begin(), known.end(), k) == known.end())
+      unknown.push_back(k);
+  return unknown;
 }
 
 std::string command_line::positional_or(size_t i, std::string def) const {

@@ -31,6 +31,13 @@ class command_line {
 
   const std::string& program() const { return program_; }
 
+  // The flags passed whose names are not in `known`, in order of
+  // appearance (names without the leading dashes or any `=value`). The
+  // constructor accepts any flag, so a binary that wants to reject a
+  // misspelt or retired option checks this list itself.
+  std::vector<std::string> unknown_flags(
+      const std::vector<std::string>& known) const;
+
  private:
   std::string program_;
   std::vector<std::pair<std::string, std::string>> flags_;  // name -> value ("" if none)

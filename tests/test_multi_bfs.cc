@@ -2,18 +2,23 @@
 // (ligra/multi_bfs.h): the batched path must be *bit-identical* to running
 // one sequential BFS per source — per-pair distances equal bfs_levels, the
 // sweep's per-vertex last-reached round equals the max per-source
-// distance — across rMat and uniform random graphs at scales 10-12, plus
-// argument validation, early-exit, polling, and scratch-reuse behavior.
+// distance — across rMat, uniform random, directed rMat and torus graphs,
+// under every forced traversal strategy, plus the per-round trace, argument
+// validation, early-exit, polling, and scratch-reuse behavior. The torus
+// mixes sparse (edge_map) rounds with dense ones (the driver's OR pull), and
+// the directed rMat makes the pull's in-edge reads visible.
 #include "ligra/multi_bfs.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "apps/bfs.h"
 #include "graph/generators.h"
+#include "obs/trace.h"
 #include "util/rng.h"
 
 using namespace ligra;
@@ -64,6 +69,36 @@ void expect_batched_matches_sequential(const graph& g, uint64_t seed) {
   }
 }
 
+// Per-vertex max over one sequential BFS per source (-1 if none reaches).
+std::vector<int64_t> max_levels(const graph& g,
+                                const std::vector<vertex_id>& sources) {
+  std::vector<int64_t> expected(g.num_vertices(), -1);
+  for (vertex_id s : sources) {
+    auto levels = apps::bfs_levels(g, s);
+    for (vertex_id v = 0; v < g.num_vertices(); v++)
+      expected[v] = std::max(expected[v], levels[v]);
+  }
+  return expected;
+}
+
+multi_bfs_result sweep_with(const graph& g,
+                            const std::vector<vertex_id>& sources,
+                            traversal strategy) {
+  multi_bfs_options opts;
+  opts.edge_map.strategy = strategy;
+  return multi_bfs_sweep(g, sources, opts);
+}
+
+// A sweep under an installed trace, returning its round events.
+std::vector<obs::trace_round> traced_rounds(
+    const graph& g, const std::vector<vertex_id>& sources, traversal strategy,
+    multi_bfs_result* out) {
+  obs::query_trace trace;
+  obs::trace_scope scope(&trace);
+  *out = sweep_with(g, sources, strategy);
+  return trace.rounds();
+}
+
 }  // namespace
 
 TEST(MultiBfs, DistancesMatchSequentialBfsRmat) {
@@ -78,20 +113,95 @@ TEST(MultiBfs, DistancesMatchSequentialBfsUniform) {
         gen::random_graph(vertex_id{1} << scale, 8, /*seed=*/scale), scale);
 }
 
+TEST(MultiBfs, DistancesMatchSequentialBfsTorus) {
+  expect_batched_matches_sequential(gen::grid3d_graph(16), 4);
+}
+
 TEST(MultiBfs, SweepLastReachedIsMaxPerSourceDistance) {
   auto g = gen::rmat_graph(10, 1 << 13, 3);
   auto sources = pick_sources(g, 64, 3);
   auto sweep = multi_bfs_sweep(g, sources);
   ASSERT_EQ(sweep.num_sources, 64u);
+  EXPECT_EQ(sweep.last_reached, max_levels(g, sources));
+}
 
-  std::vector<int64_t> expected(g.num_vertices(), -1);
-  for (vertex_id s : sources) {
-    auto levels = apps::bfs_levels(g, s);
-    for (vertex_id v = 0; v < g.num_vertices(); v++)
-      if (levels[v] >= 0) expected[v] = std::max(expected[v], levels[v]);
+TEST(MultiBfs, SweepMatchesPerSourceBfsOnTorus) {
+  // 16^3 torus: a few sources start sparse, the middle rounds go dense, and
+  // a vertex holding all k bits stops pulling before the sweep ends.
+  auto g = gen::grid3d_graph(16);
+  for (size_t k : {64u, 7u}) {
+    auto sources = pick_sources(g, k, 100 + k);
+    auto sweep = multi_bfs_sweep(g, sources);
+    EXPECT_EQ(sweep.last_reached, max_levels(g, sources)) << "k " << k;
   }
-  for (vertex_id v = 0; v < g.num_vertices(); v++)
-    EXPECT_EQ(sweep.last_reached[v], expected[v]) << "vertex " << v;
+}
+
+TEST(MultiBfs, SweepMatchesPerSourceBfsOnDigraph) {
+  // Directed rMat: in- and out-edges differ, so a pull that read out-edges
+  // would propagate bits backwards along edges.
+  auto g = gen::rmat_digraph(12, edge_id{8} << 12, 9);
+  ASSERT_FALSE(g.symmetric());
+  for (size_t k : {64u, 5u}) {
+    auto sources = pick_sources(g, k, 200 + k);
+    auto expected = max_levels(g, sources);
+    for (traversal t : {traversal::automatic, traversal::dense})
+      EXPECT_EQ(sweep_with(g, sources, t).last_reached, expected)
+          << "k " << k << " strategy " << traversal_name(t);
+  }
+}
+
+TEST(MultiBfs, ForcedStrategiesAgree) {
+  // Forced sparse runs edge_map's push kernel on every round; dense runs
+  // the OR pull on every round; dense_forward is edge_map's push over a
+  // bitmap; automatic mixes sparse and pull rounds. All four must give the
+  // same rounds and per-vertex results, and automatic's traced frontiers
+  // must be forced sparse's, round for round.
+  for (const graph& g : {gen::grid3d_graph(16),
+                         gen::rmat_digraph(11, edge_id{8} << 11, 5)}) {
+    auto sources = pick_sources(g, 64, 7);
+    multi_bfs_result sparse, automatic;
+    auto sparse_rounds =
+        traced_rounds(g, sources, traversal::sparse, &sparse);
+    auto auto_rounds =
+        traced_rounds(g, sources, traversal::automatic, &automatic);
+    EXPECT_EQ(automatic.last_reached, sparse.last_reached);
+    EXPECT_EQ(automatic.num_rounds, sparse.num_rounds);
+    ASSERT_EQ(auto_rounds.size(), sparse_rounds.size());
+    for (size_t i = 0; i < auto_rounds.size(); i++) {
+      EXPECT_EQ(auto_rounds[i].frontier_size, sparse_rounds[i].frontier_size)
+          << "round " << i + 1;
+      EXPECT_EQ(auto_rounds[i].frontier_edges,
+                sparse_rounds[i].frontier_edges)
+          << "round " << i + 1;
+    }
+    for (traversal t : {traversal::dense, traversal::dense_forward}) {
+      auto forced = sweep_with(g, sources, t);
+      EXPECT_EQ(forced.last_reached, sparse.last_reached)
+          << traversal_name(t);
+      EXPECT_EQ(forced.num_rounds, sparse.num_rounds) << traversal_name(t);
+    }
+  }
+}
+
+TEST(MultiBfs, TracedTorusSweepRecordsEveryRound) {
+  auto g = gen::grid3d_graph(16);
+  multi_bfs_result sweep;
+  auto rounds = traced_rounds(g, pick_sources(g, 64, 11),
+                              traversal::automatic, &sweep);
+  ASSERT_EQ(rounds.size(), static_cast<size_t>(sweep.num_rounds));
+  size_t sparse = 0, dense = 0;
+  for (const auto& r : rounds) {
+    const std::string dir = r.direction;
+    sparse += dir == "sparse";
+    dense += dir == "dense";
+    EXPECT_EQ(r.threshold, g.num_edges() / 20);
+    // The paper's rule picked each round's direction.
+    EXPECT_EQ(dir == "dense", r.frontier_size + r.frontier_edges > r.threshold)
+        << "round " << r.index;
+  }
+  EXPECT_GT(sparse, 0u);
+  EXPECT_GT(dense, 0u);
+  EXPECT_EQ(sparse + dense, rounds.size());
 }
 
 TEST(MultiBfs, FewerThanSixtyFourSourcesWork) {

@@ -2,7 +2,9 @@
 // and command-line parsing.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "util/cli.h"
 #include "util/rng.h"
@@ -144,6 +146,19 @@ TEST(Cli, PositionalArguments) {
   EXPECT_EQ(cl.positional()[0], "input.adj");
   EXPECT_EQ(cl.positional()[1], "output.bin");
   EXPECT_EQ(cl.positional_or(5, "dflt"), "dflt");
+}
+
+TEST(Cli, UnknownFlagsListsFlagsOutsideKnownSet) {
+  const char* argv[] = {"prog",     "g.adj", "-n",    "10",
+                        "-no-pool", "--conc=2", "-repl", "-typo=3"};
+  command_line cl(8, const_cast<char* const*>(argv));
+  EXPECT_EQ(cl.unknown_flags({"n", "conc", "repl"}),
+            (std::vector<std::string>{"no-pool", "typo"}));
+  EXPECT_TRUE(cl.unknown_flags({"n", "conc", "repl", "no-pool", "typo"})
+                  .empty());
+  // Positional arguments are never flags.
+  ASSERT_EQ(cl.positional().size(), 1u);
+  EXPECT_EQ(cl.positional()[0], "g.adj");
 }
 
 TEST(Cli, NegativeNumberValues) {
