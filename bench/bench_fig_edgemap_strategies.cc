@@ -5,12 +5,11 @@
 //     hybrid ~ min(sparse, dense) on every input; dense-only loses badly
 //     on high-diameter inputs (3d-grid), sparse-only loses on low-diameter
 //     skewed inputs (rMat).
-//   * Blocked vs legacy sparse kernel: the edge-balanced blocked kernel
-//     against the per-vertex kernel (opts.blocked = false), full-BFS and on
-//     an adversarially skewed frontier (one top hub + many leaves) where
-//     per-vertex scheduling serializes on the hub. Per-rep times land in
-//     histograms and are emitted as one machine-readable EDGEMAP_JSON line
-//     (same shape as TABLE2_JSON; validated by the CI bench-smoke job).
+//   * The edge-balanced blocked sparse kernel, full-BFS and on an
+//     adversarially skewed frontier (one top hub + many leaves) that it
+//     splits across blocks. Per-rep times land in histograms and are
+//     emitted as one machine-readable EDGEMAP_JSON line (same shape as
+//     TABLE2_JSON; validated by the CI bench-smoke job).
 //   * A sweep of the hybrid threshold denominator d (dense when
 //     |U| + outdeg(U) > m/d). Paper uses d = 20; the sweep shows a flat
 //     optimum around it.
@@ -45,8 +44,8 @@ double time_bfs(const graph& g, edge_map_options opts) {
 }
 
 // One adversarially skewed frontier: the highest-degree vertex (the rMat
-// hub) plus `leaves` of the lowest-degree vertices. The per-vertex kernel
-// runs the hub as a single task; the blocked kernel splits it.
+// hub) plus `leaves` of the lowest-degree vertices. The blocked kernel
+// splits the hub across tasks.
 std::vector<vertex_id> skewed_frontier(const graph& g, size_t leaves) {
   vertex_id hub = 0;
   for (vertex_id v = 1; v < g.num_vertices(); v++)
@@ -79,12 +78,11 @@ struct mark_f {
 // Times one sparse edge_map over `ids` (mark reset untimed each rep),
 // recording every rep into the named histogram; returns the best seconds.
 double time_sparse_step(const graph& g, const std::vector<vertex_id>& ids,
-                        bool blocked, const std::string& hist_name, int reps) {
+                        const std::string& hist_name, int reps) {
   obs::histogram& h = edgemap_metrics().get_histogram(hist_name);
   edge_map_scratch scratch;
   edge_map_options opts;
   opts.strategy = traversal::sparse;
-  opts.blocked = blocked;
   opts.scratch = &scratch;
   std::vector<uint8_t> marked(g.num_vertices());
   double best = -1.0;
@@ -103,18 +101,15 @@ double time_sparse_step(const graph& g, const std::vector<vertex_id>& ids,
 
 void print_strategy_table() {
   std::printf("\n=== F2/A1: BFS time (seconds) by edge_map strategy ===\n");
-  table_printer t({"Input", "Sparse-blocked", "Sparse-legacy", "Dense-only",
-                   "DenseFwd-only", "Hybrid(m/20)"});
+  table_printer t({"Input", "Sparse-only", "Dense-only", "DenseFwd-only",
+                   "Hybrid(m/20)"});
   for (const auto& in : bench::table1_inputs()) {
-    edge_map_options sparse, legacy, dense, fwd, hybrid;
+    edge_map_options sparse, dense, fwd, hybrid;
     sparse.strategy = traversal::sparse;
-    legacy.strategy = traversal::sparse;
-    legacy.blocked = false;
     dense.strategy = traversal::dense;
     fwd.strategy = traversal::dense_forward;
     double tb = time_bfs(in.g, sparse);
-    double tl = time_bfs(in.g, legacy);
-    t.add_row({in.name, format_double(tb, 3), format_double(tl, 3),
+    t.add_row({in.name, format_double(tb, 3),
                format_double(time_bfs(in.g, dense), 3),
                format_double(time_bfs(in.g, fwd), 3),
                format_double(time_bfs(in.g, hybrid), 3)});
@@ -122,10 +117,6 @@ void print_strategy_table() {
         .get_histogram("bfs_sparse_micros{kernel=\"blocked\",input=\"" +
                        in.name + "\"}")
         .record(static_cast<uint64_t>(tb * 1e6));
-    edgemap_metrics()
-        .get_histogram("bfs_sparse_micros{kernel=\"per_vertex\",input=\"" +
-                       in.name + "\"}")
-        .record(static_cast<uint64_t>(tl * 1e6));
   }
   t.print();
 
@@ -144,29 +135,21 @@ void print_strategy_table() {
 }
 
 // The blocked kernel's showcase: a skewed frontier whose edge work is
-// dominated by one hub. Per-vertex scheduling caps speedup at ~1 thread of
-// hub work; blocking spreads the hub across tasks.
+// dominated by one hub, which blocking spreads across tasks.
 void print_skewed_frontier_table() {
-  std::printf("\n=== Blocked vs per-vertex sparse kernel — one edge_map on a "
-              "skewed frontier (seconds) ===\n");
-  table_printer t({"Input", "Frontier", "Edges", "Per-vertex", "Blocked",
-                   "Speedup"});
+  std::printf("\n=== Blocked sparse kernel — one edge_map on a skewed "
+              "frontier (seconds) ===\n");
+  table_printer t({"Input", "Frontier", "Edges", "Blocked"});
   for (const auto& in : bench::table1_inputs()) {
     auto ids = skewed_frontier(in.g, 4096);
     vertex_subset probe(in.g.num_vertices(), ids);
     edge_id edges = probe.out_degree_sum(in.g);
-    double legacy = time_sparse_step(
-        in.g, ids, /*blocked=*/false,
-        "edgemap_sparse_micros{kernel=\"per_vertex\",input=\"" + in.name +
-            "\"}",
-        5);
     double blocked = time_sparse_step(
-        in.g, ids, /*blocked=*/true,
+        in.g, ids,
         "edgemap_sparse_micros{kernel=\"blocked\",input=\"" + in.name + "\"}",
         5);
     t.add_row({in.name, std::to_string(ids.size()), std::to_string(edges),
-               format_double(legacy, 6), format_double(blocked, 6),
-               format_double(legacy / blocked, 2) + "x"});
+               format_double(blocked, 6)});
   }
   t.print();
 }
@@ -192,11 +175,10 @@ void print_threshold_sweep() {
 }
 
 void BM_BfsStrategy(benchmark::State& state, const char* input_name,
-                    traversal strategy, bool blocked) {
+                    traversal strategy) {
   const graph& g = bench::input_named(input_name);
   apps::bfs_options opts;
   opts.edge_map.strategy = strategy;
-  opts.edge_map.blocked = blocked;
   for (auto _ : state) {
     auto r = apps::bfs(g, 0, opts);
     benchmark::DoNotOptimize(r.num_reached);
@@ -207,17 +189,13 @@ void register_benchmarks() {
   struct variant {
     const char* name;
     traversal t;
-    bool blocked;
   };
   for (const char* input : {"rMat", "3d-grid"}) {
-    for (const variant& v :
-         {variant{"sparse", traversal::sparse, true},
-          variant{"sparse-legacy", traversal::sparse, false},
-          variant{"dense", traversal::dense, true},
-          variant{"hybrid", traversal::automatic, true}}) {
+    for (const variant& v : {variant{"sparse", traversal::sparse},
+                             variant{"dense", traversal::dense},
+                             variant{"hybrid", traversal::automatic}}) {
       std::string bname = std::string("BFS/") + input + "/" + v.name;
-      benchmark::RegisterBenchmark(bname.c_str(), BM_BfsStrategy, input, v.t,
-                                   v.blocked)
+      benchmark::RegisterBenchmark(bname.c_str(), BM_BfsStrategy, input, v.t)
           ->Unit(benchmark::kMillisecond);
     }
   }

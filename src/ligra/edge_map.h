@@ -9,23 +9,20 @@
 //
 //   * sparse ("push", edgeMapSparse): iterate the out-edges of frontier
 //     members; updates race on targets, so F::update_atomic is used.
-//     Work O(|U| + outdeg(U)). The default kernel is *edge-balanced and
-//     blocked* (Dhulipala-Blelloch-Shun style): the frontier's edge range
-//     is cut into kEdgeBlockSize-edge blocks located by binary search into
-//     the degree prefix-sum array, one scheduler task per block, survivors
+//     Work O(|U| + outdeg(U)). The kernel is *edge-balanced and blocked*
+//     (Dhulipala-Blelloch-Shun style): the frontier's edge range is cut
+//     into kEdgeBlockSize-edge blocks located by binary search into the
+//     degree prefix-sum array, one scheduler task per block, survivors
 //     written to a per-block local buffer and compacted with one scan +
 //     scatter. A skewed frontier (one hub + thousands of leaves) therefore
 //     splits the hub across blocks instead of serializing on it, and no
-//     outdeg(U)-sized sentinel array is ever allocated or re-scanned. The
-//     legacy per-vertex kernel is kept behind edge_map_options::blocked =
-//     false for ablation (bench_fig_edgemap_strategies).
+//     outdeg(U)-sized sentinel array is ever allocated or re-scanned.
 //   * dense ("pull", edgeMapDense): for every vertex v with cond(v),
 //     scan v's in-edges for frontier members; only one thread touches v, so
 //     the plain F::update runs and the scan breaks as soon as cond(v)
 //     flips false (the early exit that makes BFS bottom-up cheap).
 //     Work O(n + m) worst case but with no atomics and early exit. The
-//     frontier is consumed as a Beamer-style bitmap (1 bit per vertex):
-//     8x less frontier memory traffic than the byte representation.
+//     frontier is consumed as a Beamer-style bitmap (1 bit per vertex).
 //   * dense_forward (edgeMapDenseForward): push over the out-edges of a
 //     dense frontier — avoids the sparse output compaction at large
 //     frontiers but needs atomics and has no early exit. Iterates the
@@ -101,7 +98,7 @@ struct edge_map_stats {
   size_t frontier_size = 0;    // |U|
   edge_id frontier_edges = 0;  // outdeg(U)
   traversal used = traversal::automatic;
-  size_t blocks = 0;           // edge blocks processed (sparse blocked only)
+  size_t blocks = 0;           // edge blocks processed (sparse only)
   size_t scratch_bytes = 0;    // capacity of the scratch used this call
 };
 
@@ -184,10 +181,6 @@ struct edge_map_options {
   // edgeMap with no output — e.g. PageRank, which writes into dense
   // arrays and never looks at the returned frontier).
   bool produce_output = true;
-  // Edge-balanced blocked sparse kernel (default). false selects the
-  // legacy per-vertex kernel — one task per frontier vertex, outdeg(U)
-  // sentinel slots, full-width pack — kept for ablation benchmarks.
-  bool blocked = true;
   // Round-scratch override; see edge_map_scratch for resolution order.
   edge_map_scratch* scratch = nullptr;
   edge_map_stats* stats = nullptr;
@@ -324,55 +317,6 @@ vertex_subset edge_map_sparse_blocked(const G& g,
   return vertex_subset(n, std::move(out));
 }
 
-// Legacy per-vertex sparse traversal (pre-blocking): one task per frontier
-// vertex, one sentinel slot per traversed edge, full-width pack, O(n)
-// winner allocation per dedup round. Kept behind opts.blocked = false as
-// the ablation baseline. Precondition when produce_output: scr.offsets
-// holds the degree prefix (shared with the threshold decision).
-template <class G, class F>
-vertex_subset edge_map_sparse_per_vertex(
-    const G& g, const std::vector<vertex_id>& frontier, F& f,
-    const edge_map_options& opts, const edge_map_scratch& scr) {
-  using W = typename G::weight_type;
-  const size_t k = frontier.size();
-  if (!opts.produce_output) {
-    parallel::parallel_for(0, k, [&](size_t i) {
-      vertex_id u = frontier[i];
-      g.decode_out(u, [&](vertex_id v, W w, size_t) {
-        if (f.cond(v)) call_update_atomic(f, u, v, w);
-        return true;
-      });
-    });
-    return vertex_subset(g.num_vertices());
-  }
-  const edge_id* offsets = scr.offsets.data();
-  std::vector<vertex_id> slots(offsets[k], kNoVertex);
-  parallel::parallel_for(0, k, [&](size_t i) {
-    vertex_id u = frontier[i];
-    edge_id base = offsets[i];
-    g.decode_out(u, [&](vertex_id v, W w, size_t j) {
-      if (f.cond(v) && call_update_atomic(f, u, v, w))
-        slots[base + j] = v;
-      return true;
-    });
-  });
-  if (opts.remove_duplicates) {
-    // Keep one slot per distinct target: winner chosen by CAS on a scratch
-    // array holding the slot index.
-    std::vector<edge_id> winner(g.num_vertices(), kNoEdge);
-    parallel::parallel_for(0, slots.size(), [&](size_t s) {
-      vertex_id v = slots[s];
-      if (v == kNoVertex) return;
-      if (!compare_and_swap(&winner[v], kNoEdge, static_cast<edge_id>(s)))
-        slots[s] = kNoVertex;  // someone else claimed v
-    });
-  }
-  auto out = parallel::pack(
-      slots.size(), [&](size_t s) { return slots[s]; },
-      [&](size_t s) { return slots[s] != kNoVertex; });
-  return vertex_subset(g.num_vertices(), std::move(out));
-}
-
 // Dense (pull) traversal: scan in-edges of every vertex passing cond. The
 // frontier is a bitmap — one bit load per in-edge candidate instead of a
 // byte — and the output is written bit-wise (atomic OR; distinct targets
@@ -435,7 +379,7 @@ vertex_subset edge_map_dense_forward(const G& g,
 
 // Applies F over the out-edges of `frontier` and returns the new frontier.
 // `frontier` is taken by mutable reference because the chosen traversal may
-// convert its physical representation (sparse<->bytes<->bitmap) in place;
+// convert its physical representation (sparse<->bitmap) in place;
 // membership is never changed.
 template <class G, class F>
 vertex_subset edge_map(const G& g, vertex_subset& frontier, F f,
@@ -460,7 +404,7 @@ vertex_subset edge_map(const G& g, vertex_subset& frontier, F f,
   bool have_prefix = false;
   const bool want_degrees = mode == traversal::automatic ||
                             opts.stats != nullptr || trace != nullptr;
-  // A sparse frontier's degree prefix doubles as the blocked kernel's
+  // A sparse frontier's degree prefix doubles as the sparse kernel's block
   // layout — compute it once here whenever the sparse kernel might run,
   // instead of an out_degree_sum for the threshold plus a recomputation
   // inside the kernel.
@@ -491,18 +435,11 @@ vertex_subset edge_map(const G& g, vertex_subset& frontier, F f,
     switch (mode) {
       case traversal::sparse: {
         frontier.to_sparse();
-        // Forced-sparse calls on a dense/bitmap frontier arrive without a
-        // prefix; the legacy no-output path is the only one that can skip it.
-        if (!have_prefix && (opts.blocked || opts.produce_output)) {
+        // A frontier that arrived as a bitmap has no prefix yet.
+        if (!have_prefix)
           detail::build_degree_prefix(g, frontier.sparse(), *scr);
-          have_prefix = true;
-        }
-        if (opts.blocked) {
-          return detail::edge_map_sparse_blocked(g, frontier.sparse(), f,
-                                                 opts, *scr, blocks_used);
-        }
-        return detail::edge_map_sparse_per_vertex(g, frontier.sparse(), f,
-                                                  opts, *scr);
+        return detail::edge_map_sparse_blocked(g, frontier.sparse(), f, opts,
+                                               *scr, blocks_used);
       }
       case traversal::dense:
         frontier.to_bitmap();
@@ -557,15 +494,6 @@ T edge_map_reduce(const G& g, const vertex_subset& frontier, F&& f,
     });
     return acc;
   };
-  if (frontier.is_dense()) {
-    const auto& flags = frontier.dense();
-    return parallel::reduce(
-        g.num_vertices(),
-        [&](size_t u) {
-          return flags[u] ? per_vertex(static_cast<vertex_id>(u)) : identity;
-        },
-        identity, op);
-  }
   if (frontier.is_bitmap()) {
     const auto& words = frontier.bitmap();
     return parallel::reduce(

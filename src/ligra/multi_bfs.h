@@ -49,10 +49,10 @@ struct multi_bfs_scratch {
 };
 
 struct multi_bfs_options {
-  // Traversal knobs (strategy, threshold, blocked kernel, round scratch,
-  // stats) — same pass-through the apps take. Pull rounds use only the
-  // strategy, prefer_dense_forward, the threshold and stats; edge_map
-  // rounds use all of them.
+  // Traversal knobs (strategy, threshold, round scratch, stats) — same
+  // pass-through the apps take. Pull rounds use only the strategy,
+  // prefer_dense_forward, the threshold and stats; edge_map rounds use all
+  // of them.
   edge_map_options edge_map;
   // Cancel/deadline polling site, called once per round before the
   // traversal. Throwing aborts the whole run (the exception propagates).

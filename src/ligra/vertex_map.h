@@ -20,20 +20,11 @@ void vertex_map(const vertex_subset& subset, F&& f) {
 }
 
 // Returns the members of `subset` for which f(v) is true. The result keeps
-// the input's physical representation (sparse stays sparse, dense stays
-// dense, bitmap stays bitmap) to avoid gratuitous conversions
-// mid-algorithm.
+// the input's physical representation (sparse stays sparse, bitmap stays
+// bitmap) to avoid gratuitous conversions mid-algorithm.
 template <class F>
 vertex_subset vertex_filter(const vertex_subset& subset, F&& f) {
   const vertex_id n = subset.universe_size();
-  if (subset.is_dense()) {
-    const auto& flags = subset.dense();
-    std::vector<uint8_t> out(n, 0);
-    parallel::parallel_for(0, n, [&](size_t v) {
-      if (flags[v] && f(static_cast<vertex_id>(v))) out[v] = 1;
-    });
-    return vertex_subset::from_dense(n, std::move(out));
-  }
   if (subset.is_bitmap()) {
     // One thread per word (no races on the output word); zero words are
     // dismissed with a single load.

@@ -41,17 +41,6 @@ vertex_subset vertex_subset::from_unsorted_ids(vertex_id n,
   return vertex_subset(n, std::move(ids));
 }
 
-vertex_subset vertex_subset::from_dense(vertex_id n,
-                                        std::vector<uint8_t> flags) {
-  if (flags.size() != n)
-    throw std::invalid_argument("vertex_subset::from_dense: flags size != n");
-  vertex_subset vs(n);
-  vs.dense_ = std::move(flags);
-  vs.dense_valid_ = true;
-  vs.m_ = parallel::count_if_index(n, [&](size_t v) { return vs.dense_[v] != 0; });
-  return vs;
-}
-
 vertex_subset vertex_subset::from_bitmap(vertex_id n,
                                          std::vector<uint64_t> words) {
   if (words.size() != num_bitmap_words(n))
@@ -68,102 +57,43 @@ vertex_subset vertex_subset::from_bitmap(vertex_id n,
 }
 
 vertex_subset vertex_subset::all(vertex_id n) {
-  vertex_subset vs(n);
-  vs.dense_.assign(n, 1);
-  vs.dense_valid_ = true;
-  vs.m_ = n;
-  return vs;
+  return from_bitmap(
+      n, std::vector<uint64_t>(num_bitmap_words(n), ~uint64_t{0}));
 }
 
 bool vertex_subset::contains(vertex_id v) const {
   assert(v < n_);
-  if (dense_valid_) return dense_[v] != 0;
   if (bitmap_valid_) return (bitmap_[v >> 6] >> (v & 63)) & 1;
   for (vertex_id u : sparse_)
     if (u == v) return true;
   return false;
 }
 
-void vertex_subset::to_dense() {
-  if (dense_valid_) return;
-  dense_.assign(n_, 0);
-  if (bitmap_valid_) {
-    parallel::parallel_for(0, bitmap_.size(), [&](size_t wi) {
-      uint64_t word = bitmap_[wi];
-      while (word != 0) {
-        const int b = std::countr_zero(word);
-        word &= word - 1;
-        dense_[wi * 64 + static_cast<size_t>(b)] = 1;
-      }
-    });
-    bitmap_valid_ = false;
-    bitmap_.clear();
-    bitmap_.shrink_to_fit();
-  } else {
-    parallel::parallel_for(0, sparse_.size(),
-                           [&](size_t i) { dense_[sparse_[i]] = 1; });
-    sparse_.clear();
-    sparse_.shrink_to_fit();
-  }
-  dense_valid_ = true;
-}
-
 void vertex_subset::to_sparse() {
-  if (!dense_valid_ && !bitmap_valid_) return;
-  if (dense_valid_) {
-    sparse_ = parallel::pack_index<vertex_id>(
-        n_, [&](size_t v) { return dense_[v] != 0; });
-    dense_valid_ = false;
-    dense_.clear();
-    dense_.shrink_to_fit();
-  } else {
-    sparse_ = parallel::pack_index<vertex_id>(
-        n_, [&](size_t v) { return (bitmap_[v >> 6] >> (v & 63)) & 1; });
-    bitmap_valid_ = false;
-    bitmap_.clear();
-    bitmap_.shrink_to_fit();
-  }
+  if (!bitmap_valid_) return;
+  sparse_ = parallel::pack_index<vertex_id>(
+      n_, [&](size_t v) { return (bitmap_[v >> 6] >> (v & 63)) & 1; });
+  bitmap_valid_ = false;
+  bitmap_.clear();
+  bitmap_.shrink_to_fit();
 }
 
 void vertex_subset::to_bitmap() {
   if (bitmap_valid_) return;
-  const size_t nwords = num_bitmap_words(n_);
-  if (dense_valid_) {
-    // Word gather: each word reads its own 64 bytes, no races.
-    bitmap_.resize(nwords);
-    parallel::parallel_for(0, nwords, [&](size_t wi) {
-      uint64_t word = 0;
-      const size_t lo = wi * 64;
-      const size_t hi = lo + 64 < n_ ? lo + 64 : n_;
-      for (size_t v = lo; v < hi; v++)
-        if (dense_[v]) word |= uint64_t{1} << (v - lo);
-      bitmap_[wi] = word;
-    });
-    dense_valid_ = false;
-    dense_.clear();
-    dense_.shrink_to_fit();
-  } else {
-    // Sparse scatter: two members may share a word, so set bits atomically.
-    bitmap_.assign(nwords, 0);
-    parallel::parallel_for(0, sparse_.size(), [&](size_t i) {
-      const vertex_id v = sparse_[i];
-      write_or(&bitmap_[v >> 6], uint64_t{1} << (v & 63));
-    });
-    sparse_.clear();
-    sparse_.shrink_to_fit();
-  }
+  // Two members may share a word, so set bits atomically.
+  bitmap_.assign(num_bitmap_words(n_), 0);
+  parallel::parallel_for(0, sparse_.size(), [&](size_t i) {
+    const vertex_id v = sparse_[i];
+    write_or(&bitmap_[v >> 6], uint64_t{1} << (v & 63));
+  });
+  sparse_.clear();
+  sparse_.shrink_to_fit();
   bitmap_valid_ = true;
 }
 
 const std::vector<vertex_id>& vertex_subset::sparse() const {
-  assert(!dense_valid_ && !bitmap_valid_ &&
-         "vertex_subset: call to_sparse() first");
+  assert(!bitmap_valid_ && "vertex_subset: call to_sparse() first");
   return sparse_;
-}
-
-const std::vector<uint8_t>& vertex_subset::dense() const {
-  assert(dense_valid_ && "vertex_subset: call to_dense() first");
-  return dense_;
 }
 
 const std::vector<uint64_t>& vertex_subset::bitmap() const {
@@ -172,10 +102,6 @@ const std::vector<uint64_t>& vertex_subset::bitmap() const {
 }
 
 std::vector<vertex_id> vertex_subset::to_sorted_vector() const {
-  if (dense_valid_) {
-    return parallel::pack_index<vertex_id>(
-        n_, [&](size_t v) { return dense_[v] != 0; });
-  }
   if (bitmap_valid_) {
     return parallel::pack_index<vertex_id>(
         n_, [&](size_t v) { return (bitmap_[v >> 6] >> (v & 63)) & 1; });

@@ -1,22 +1,19 @@
 // vertex_subset — one of Ligra's two core abstractions (DESIGN.md S7).
 //
-// A subset U of the vertices [0, n) with three physical representations:
+// A subset U of the vertices [0, n) with two physical representations:
 //   * sparse — an array of the member ids (order unspecified), good when
 //     |U| << n; this is what push-style traversal consumes.
-//   * dense  — a byte per vertex (1 = member); kept for code that wants
-//     branch-free byte indexing (per-vertex state arrays, tests).
-//   * bitmap — a bit per vertex packed into 64-bit words, 8x less memory
-//     traffic than the byte form; this is what the dense (pull) and
-//     dense_forward traversals consume, and what word-skipping iteration
-//     (for_each, vertex_filter) exploits: a zero word dismisses 64
-//     vertices with one load.
+//   * bitmap — a bit per vertex packed into 64-bit words; this is what the
+//     dense (pull) and dense_forward traversals consume, and what
+//     word-skipping iteration (for_each, vertex_filter) exploits: a zero
+//     word dismisses 64 vertices with one load.
 //
-// The representation converts lazily: edge_map densifies, bitmaps, or
-// sparsifies its input as its traversal strategy requires, and all
-// conversions are parallel (pack / scatter / word gather). Exactly one
-// representation is materialized at a time. The member count |U| is
-// maintained eagerly (popcount for bitmaps) so `size()` is O(1) — the
-// hybrid traversal decision depends on it.
+// The representation converts lazily: edge_map bitmaps or sparsifies its
+// input as its traversal strategy requires, and both conversions are
+// parallel (pack / atomic scatter). Exactly one representation is
+// materialized at a time. The member count |U| is maintained eagerly
+// (popcount for bitmaps) so `size()` is O(1) — the hybrid traversal
+// decision depends on it.
 #pragma once
 
 #include <bit>
@@ -46,15 +43,12 @@ class vertex_subset {
   static vertex_subset from_unsorted_ids(vertex_id n,
                                          std::vector<vertex_id> ids);
 
-  // From dense flags; flags.size() must equal n.
-  static vertex_subset from_dense(vertex_id n, std::vector<uint8_t> flags);
-
   // From bitmap words; words.size() must equal num_bitmap_words(n). Bits at
   // positions >= n in the last word are cleared. |U| is computed eagerly by
   // a parallel popcount.
   static vertex_subset from_bitmap(vertex_id n, std::vector<uint64_t> words);
 
-  // The full subset [0, n), dense.
+  // The full subset [0, n), as a bitmap (bits >= n in the last word clear).
   static vertex_subset all(vertex_id n);
 
   // 64-bit words needed to hold one bit per vertex of [0, n).
@@ -65,23 +59,20 @@ class vertex_subset {
   vertex_id universe_size() const { return n_; }
   size_t size() const { return m_; }
   bool empty() const { return m_ == 0; }
-  bool is_dense() const { return dense_valid_; }
   bool is_bitmap() const { return bitmap_valid_; }
-  bool is_sparse() const { return !dense_valid_ && !bitmap_valid_; }
+  bool is_sparse() const { return !bitmap_valid_; }
 
-  // Membership test: O(1) dense/bitmap, O(|U|) sparse (kept for
-  // tests/assertions; hot paths convert representation instead).
+  // Membership test: O(1) bitmap, O(|U|) sparse (kept for tests and
+  // assertions; hot paths convert representation instead).
   bool contains(vertex_id v) const;
 
   // Representation conversions (no-ops when already in the target form).
-  void to_dense();
   void to_sparse();
   void to_bitmap();
 
   // Direct access; the requested representation must be materialized
-  // (call to_dense()/to_sparse()/to_bitmap() first). Debug-checked.
+  // (call to_sparse()/to_bitmap() first). Debug-checked.
   const std::vector<vertex_id>& sparse() const;
-  const std::vector<uint8_t>& dense() const;
   const std::vector<uint64_t>& bitmap() const;
 
   // Member ids in increasing order (always a fresh copy; for tests and
@@ -92,11 +83,7 @@ class vertex_subset {
   // over words and skips zero words.
   template <class F>
   void for_each(F&& f) const {
-    if (dense_valid_) {
-      parallel::parallel_for(0, n_, [&](size_t v) {
-        if (dense_[v]) f(static_cast<vertex_id>(v));
-      });
-    } else if (bitmap_valid_) {
+    if (bitmap_valid_) {
       parallel::parallel_for(0, bitmap_.size(), [&](size_t wi) {
         uint64_t word = bitmap_[wi];
         while (word != 0) {
@@ -115,11 +102,6 @@ class vertex_subset {
   // threshold compares against (paper: |U| + outdeg(U) > m / 20).
   template <class G>
   edge_id out_degree_sum(const G& g) const {
-    if (dense_valid_) {
-      return parallel::reduce_add(n_, [&](size_t v) -> edge_id {
-        return dense_[v] ? g.out_degree(static_cast<vertex_id>(v)) : 0;
-      });
-    }
     if (bitmap_valid_) {
       return parallel::reduce_add(bitmap_.size(), [&](size_t wi) -> edge_id {
         uint64_t word = bitmap_[wi];
@@ -141,10 +123,8 @@ class vertex_subset {
  private:
   vertex_id n_ = 0;
   size_t m_ = 0;  // |U|
-  bool dense_valid_ = false;
   bool bitmap_valid_ = false;
-  std::vector<vertex_id> sparse_;   // valid iff !dense_valid_ && !bitmap_valid_
-  std::vector<uint8_t> dense_;      // valid iff dense_valid_
+  std::vector<vertex_id> sparse_;   // valid iff !bitmap_valid_
   std::vector<uint64_t> bitmap_;    // valid iff bitmap_valid_
 };
 

@@ -59,7 +59,7 @@ struct trace_round {
   uint64_t frontier_edges = 0; // outdeg(U)
   uint64_t threshold = 0;      // dense iff |U| + outdeg(U) > threshold
   double micros = 0.0;         // wall time of the traversal itself
-  uint64_t blocks = 0;         // edge blocks processed (blocked sparse only)
+  uint64_t blocks = 0;         // edge blocks processed (sparse only)
   uint64_t scratch_bytes = 0;  // round-scratch capacity backing this call
 };
 

@@ -2,11 +2,11 @@
 // representation, and round-scratch reuse (DESIGN.md S8).
 //
 // Properties checked:
-//   * blocked sparse == legacy per-vertex sparse == bitmap dense ==
-//     dense_forward == sequential oracle, on rMat (power-law) and uniform
-//     random graphs, with and without remove_duplicates / produce_output;
+//   * blocked sparse == bitmap dense == dense_forward == sequential oracle,
+//     on rMat (power-law) and uniform random graphs, with and without
+//     remove_duplicates / produce_output;
 //   * multi-round blocked BFS matches baseline::bfs_levels;
-//   * sparse <-> bytes <-> bitmap round-trips preserve size and membership;
+//   * sparse <-> bitmap round-trips preserve size and membership;
 //   * a hub frontier splits across > 1 block (stats.blocks);
 //   * steady-state rounds reuse the scratch without reallocating (stable
 //     buffer data() pointers) and leave the winner array fully reset.
@@ -126,18 +126,12 @@ TEST_P(EdgeMapBlockedRandomGraphs, BlockedMatchesOracleAndLegacy) {
     }
     auto expect = oracle_step(g, frontier, marked);
 
-    edge_map_options blocked;  // default: blocked = true
-    edge_map_options legacy;
-    legacy.blocked = false;
+    edge_map_options blocked;
     for (bool dedup : {false, true}) {
       blocked.remove_duplicates = dedup;
-      legacy.remove_duplicates = dedup;
       EXPECT_EQ(run_mark_step(g, frontier, marked, blocked, traversal::sparse),
                 expect)
           << "blocked sparse, dedup=" << dedup;
-      EXPECT_EQ(run_mark_step(g, frontier, marked, legacy, traversal::sparse),
-                expect)
-          << "legacy sparse, dedup=" << dedup;
     }
     // Bitmap-consuming dense traversals against the same oracle.
     EXPECT_EQ(run_mark_step(g, frontier, marked, blocked, traversal::dense),
@@ -156,11 +150,6 @@ TEST_P(EdgeMapBlockedRandomGraphs, MultiRoundBfsMatchesBaseline) {
   edge_map_options blocked_sparse;
   blocked_sparse.strategy = traversal::sparse;
   EXPECT_EQ(edge_map_bfs_levels(g, 0, blocked_sparse), expect);
-
-  edge_map_options legacy_sparse;
-  legacy_sparse.strategy = traversal::sparse;
-  legacy_sparse.blocked = false;
-  EXPECT_EQ(edge_map_bfs_levels(g, 0, legacy_sparse), expect);
 
   edge_map_options dense;
   dense.strategy = traversal::dense;
@@ -236,25 +225,19 @@ TEST(EdgeMapBlockedBitmap, RoundTripsPreserveSizeAndMembership) {
   const size_t m = vs.size();
   auto sorted = vs.to_sorted_vector();
 
-  // sparse -> bitmap -> dense -> sparse -> dense -> bitmap, checking after
-  // every hop.
+  // sparse -> bitmap -> sparse -> bitmap -> sparse, checking after every
+  // hop.
   vs.to_bitmap();
   ASSERT_TRUE(vs.is_bitmap());
   EXPECT_EQ(vs.size(), m);
   EXPECT_EQ(vs.to_sorted_vector(), sorted);
   for (vertex_id v : ids) EXPECT_TRUE(vs.contains(v));
 
-  vs.to_dense();
-  ASSERT_TRUE(vs.is_dense());
-  EXPECT_EQ(vs.size(), m);
-  EXPECT_EQ(vs.to_sorted_vector(), sorted);
-
   vs.to_sparse();
   ASSERT_TRUE(vs.is_sparse());
   EXPECT_EQ(vs.size(), m);
   EXPECT_EQ(vs.to_sorted_vector(), sorted);
 
-  vs.to_dense();
   vs.to_bitmap();
   ASSERT_TRUE(vs.is_bitmap());
   EXPECT_EQ(vs.size(), m);

@@ -81,7 +81,7 @@ TEST(EdgeMapReduce, DenseAndSparseAgree) {
   for (vertex_id v = 0; v < g.num_vertices(); v += 3) ids.push_back(v);
   vertex_subset sparse(g.num_vertices(), ids);
   vertex_subset dense(g.num_vertices(), ids);
-  dense.to_dense();
+  dense.to_bitmap();
   auto pred = [](vertex_id u, vertex_id v, empty_weight) { return u < v; };
   EXPECT_EQ(edge_map_count(g, sparse, pred), edge_map_count(g, dense, pred));
 }

@@ -40,13 +40,13 @@ TEST(VertexFilter, SparseKeepsMatching) {
   vertex_subset vs(100, std::vector<vertex_id>{1, 2, 3, 4, 5, 6});
   auto evens = vertex_filter(vs, [](vertex_id v) { return v % 2 == 0; });
   EXPECT_EQ(evens.to_sorted_vector(), (std::vector<vertex_id>{2, 4, 6}));
-  EXPECT_FALSE(evens.is_dense());  // representation preserved
+  EXPECT_TRUE(evens.is_sparse());  // representation preserved
 }
 
 TEST(VertexFilter, DenseKeepsMatching) {
   auto vs = vertex_subset::all(10);
   auto odds = vertex_filter(vs, [](vertex_id v) { return v % 2 == 1; });
-  EXPECT_TRUE(odds.is_dense());
+  EXPECT_TRUE(odds.is_bitmap());
   EXPECT_EQ(odds.size(), 5u);
   EXPECT_TRUE(odds.contains(3));
   EXPECT_FALSE(odds.contains(4));

@@ -1,4 +1,4 @@
-// Tests for vertex_subset (DESIGN.md S7): construction, sparse<->dense
+// Tests for vertex_subset (DESIGN.md S7): construction, sparse<->bitmap
 // conversion fidelity, membership, iteration, and degree sums.
 #include "ligra/vertex_subset.h"
 
@@ -31,20 +31,20 @@ TEST(VertexSubset, Singleton) {
 TEST(VertexSubset, FromIdList) {
   vertex_subset vs(10, std::vector<vertex_id>{2, 5, 9});
   EXPECT_EQ(vs.size(), 3u);
-  EXPECT_FALSE(vs.is_dense());
+  EXPECT_TRUE(vs.is_sparse());
   EXPECT_TRUE(vs.contains(2));
   EXPECT_TRUE(vs.contains(9));
   EXPECT_FALSE(vs.contains(0));
 }
 
-TEST(VertexSubset, FromDense) {
-  std::vector<uint8_t> flags = {1, 0, 0, 1, 1};
-  auto vs = vertex_subset::from_dense(5, flags);
+TEST(VertexSubset, FromBitmap) {
+  std::vector<uint64_t> words = {0b11001};  // members 0, 3, 4
+  auto vs = vertex_subset::from_bitmap(5, words);
   EXPECT_EQ(vs.size(), 3u);
-  EXPECT_TRUE(vs.is_dense());
+  EXPECT_TRUE(vs.is_bitmap());
   EXPECT_TRUE(vs.contains(0));
   EXPECT_FALSE(vs.contains(1));
-  EXPECT_THROW(vertex_subset::from_dense(4, flags), std::invalid_argument);
+  EXPECT_THROW(vertex_subset::from_bitmap(65, words), std::invalid_argument);
 }
 
 TEST(VertexSubset, AllSubset) {
@@ -53,14 +53,46 @@ TEST(VertexSubset, AllSubset) {
   for (vertex_id v = 0; v < 6; v++) EXPECT_TRUE(vs.contains(v));
 }
 
+TEST(VertexSubset, AllIsAMaskedBitmap) {
+  for (vertex_id n : {0u, 1u, 63u, 64u, 65u, 1000u}) {
+    SCOPED_TRACE(n);
+    auto vs = vertex_subset::all(n);
+    ASSERT_TRUE(vs.is_bitmap());
+    ASSERT_EQ(vs.size(), static_cast<size_t>(n));
+    // No bit at or above n: the tail word is masked.
+    if (n % 64 != 0) {
+      ASSERT_EQ(vs.bitmap().back() >> (n % 64), 0u);
+    }
+
+    std::vector<vertex_id> expect(n);
+    for (vertex_id v = 0; v < n; v++) expect[v] = v;
+    EXPECT_EQ(vs.to_sorted_vector(), expect);
+
+    std::vector<std::atomic<int>> hits(n);
+    std::atomic<int> out_of_range{0};
+    vs.for_each([&](vertex_id v) {
+      if (v < n)
+        hits[v].fetch_add(1);
+      else
+        out_of_range.fetch_add(1);
+    });
+    ASSERT_EQ(out_of_range.load(), 0);
+    for (vertex_id v = 0; v < n; v++) ASSERT_EQ(hits[v].load(), 1) << v;
+
+    auto g = gen::random_graph(n, 4, 17);
+    ASSERT_EQ(g.num_vertices(), n);
+    EXPECT_EQ(vs.out_degree_sum(g), g.num_edges());
+  }
+}
+
 TEST(VertexSubset, SparseToDenseAndBack) {
   vertex_subset vs(100, std::vector<vertex_id>{10, 20, 30});
-  vs.to_dense();
-  EXPECT_TRUE(vs.is_dense());
+  vs.to_bitmap();
+  EXPECT_TRUE(vs.is_bitmap());
   EXPECT_EQ(vs.size(), 3u);
   EXPECT_TRUE(vs.contains(20));
   vs.to_sparse();
-  EXPECT_FALSE(vs.is_dense());
+  EXPECT_TRUE(vs.is_sparse());
   EXPECT_EQ(vs.size(), 3u);
   auto ids = vs.to_sorted_vector();
   EXPECT_EQ(ids, (std::vector<vertex_id>{10, 20, 30}));
@@ -70,8 +102,8 @@ TEST(VertexSubset, ConversionsAreIdempotent) {
   vertex_subset vs(50, std::vector<vertex_id>{1, 2, 3});
   vs.to_sparse();  // already sparse: no-op
   EXPECT_EQ(vs.size(), 3u);
-  vs.to_dense();
-  vs.to_dense();  // already dense: no-op
+  vs.to_bitmap();
+  vs.to_bitmap();  // already a bitmap: no-op
   EXPECT_EQ(vs.size(), 3u);
 }
 
@@ -87,7 +119,7 @@ TEST(VertexSubset, ForEachVisitsExactlyMembers) {
     for (vertex_id v = 0; v < n; v++) {
       ASSERT_EQ(hits[v].load(), v % 7 == 0 ? 1 : 0) << "vertex " << v;
     }
-    vs.to_dense();  // second pass exercises the dense path
+    vs.to_bitmap();  // second pass exercises the bitmap path
   }
 }
 
@@ -103,28 +135,28 @@ TEST(VertexSubset, OutDegreeSumMatchesManualSum) {
   edge_id expect = 0;
   for (vertex_id v : ids) expect += g.out_degree(v);
   EXPECT_EQ(vs.out_degree_sum(g), expect);
-  vs.to_dense();
+  vs.to_bitmap();
   EXPECT_EQ(vs.out_degree_sum(g), expect);
 }
 
 TEST(VertexSubset, LargeRandomConversionFidelity) {
   const vertex_id n = 100000;
-  std::vector<uint8_t> flags(n, 0);
-  for (vertex_id v = 0; v < n; v++) flags[v] = (hash64(v) % 5 == 0) ? 1 : 0;
-  auto vs = vertex_subset::from_dense(n, flags);
+  std::vector<uint64_t> words(vertex_subset::num_bitmap_words(n), 0);
+  for (vertex_id v = 0; v < n; v++)
+    if (hash64(v) % 5 == 0) words[v >> 6] |= uint64_t{1} << (v & 63);
+  auto vs = vertex_subset::from_bitmap(n, words);
   size_t m = vs.size();
   vs.to_sparse();
   EXPECT_EQ(vs.size(), m);
-  vs.to_dense();
+  vs.to_bitmap();
   EXPECT_EQ(vs.size(), m);
-  const auto& back = vs.dense();
-  for (vertex_id v = 0; v < n; v++) ASSERT_EQ(back[v], flags[v]);
+  EXPECT_EQ(vs.bitmap(), words);
 }
 
 TEST(VertexSubset, EmptyUniverse) {
   vertex_subset vs(0);
   EXPECT_TRUE(vs.empty());
-  vs.to_dense();
+  vs.to_bitmap();
   vs.to_sparse();
   EXPECT_EQ(vs.size(), 0u);
 }
