@@ -184,26 +184,24 @@ bool query_executor::draw_sample() {
 void query_executor::observe_done(const job& j, const outcome& o,
                                   double exec_micros, const query_result* r) {
   if (!observing()) return;
-  const char* name = status_name(o.status);
-  const size_t rounds = j.trace != nullptr ? j.trace->rounds().size() : 0;
-  if (opts_.flightrec != nullptr) {
-    obs::flight_entry e;
-    e.id = j.tid;
-    e.set_kind(query_kind_name(j.req.kind));
-    e.set_graph(j.req.graph);
-    e.set_outcome(name);
-    e.epoch = j.epoch;
-    e.queued_micros = j.queued_micros;
-    e.exec_micros = exec_micros;
-    e.rounds = static_cast<uint32_t>(rounds);
-    e.retry_after_ms = o.retry_after_ms;
-    if (r != nullptr) {
-      // Approximate wire size of the answer (net/protocol.h response body).
-      e.result_bytes = 8 + 12 * r->topk.size();
-      e.cache_hit = r->cache_hit;
-    }
-    opts_.flightrec->record(e);
+  obs::flight_entry e;
+  e.id = j.tid;
+  e.set_kind(query_kind_name(j.req.kind));
+  e.set_graph(j.req.graph);
+  e.set_outcome(status_name(o.status));
+  e.sampled = j.sampled;
+  e.epoch = j.epoch;
+  e.queued_micros = j.queued_micros;
+  e.exec_micros = exec_micros;
+  if (j.trace != nullptr)
+    e.rounds = static_cast<uint32_t>(j.trace->rounds().size());
+  e.retry_after_ms = o.retry_after_ms;
+  if (r != nullptr) {
+    // Approximate wire size of the answer (net/protocol.h response body).
+    e.result_bytes = 8 + 12 * r->topk.size();
+    e.cache_hit = r->cache_hit;
   }
+  if (opts_.flightrec != nullptr) opts_.flightrec->record(e);
   if (opts_.traces == nullptr) return;
   // Retention rules (docs/OBSERVABILITY.md): sampled queries always; every
   // non-ok outcome always; slow queries always.
@@ -211,21 +209,8 @@ void query_executor::observe_done(const job& j, const outcome& o,
       opts_.slow_trace_micros > 0 &&
       exec_micros >= static_cast<double>(opts_.slow_trace_micros);
   if (!j.sampled && o.status == query_status::ok && !slow) return;
-  obs::trace_record rec;
-  rec.id = j.tid;
-  rec.kind = query_kind_name(j.req.kind);
-  rec.graph = j.req.graph;
-  rec.outcome = name;
-  rec.sampled = j.sampled;
-  rec.cache_hit = r != nullptr && r->cache_hit;
-  rec.epoch = j.epoch;
-  rec.queued_micros = j.queued_micros;
-  rec.exec_micros = exec_micros;
-  rec.retry_after_ms = o.retry_after_ms;
-  rec.rounds = rounds;
-  rec.error = o.message;
-  if (j.trace != nullptr) rec.trace_json = j.trace->to_json();
-  opts_.traces->insert(std::move(rec));
+  opts_.traces->insert(
+      {e, o.message, j.trace != nullptr ? j.trace->to_json() : std::string()});
 }
 
 void query_executor::observe_refusal(query_request req, const outcome& o) {
@@ -479,16 +464,6 @@ void query_executor::run_job(job& j, edge_map_scratch* scratch,
   finish(j, micros_since(t0), err ? nullptr : &r, err);
 }
 
-std::deque<query_executor::job_ptr>::iterator
-query_executor::find_eligible_locked() {
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    size_t cap = opts_.per_kind_limits[static_cast<size_t>((*it)->req.kind)];
-    if (cap == 0 || running_by_kind_[static_cast<size_t>((*it)->req.kind)] < cap)
-      return it;
-  }
-  return queue_.end();
-}
-
 void query_executor::dispatcher_loop() {
   // This dispatcher's traversal working memory, reused by every query it
   // runs for the executor's lifetime: the edge_map round scratch
@@ -501,20 +476,12 @@ void query_executor::dispatcher_loop() {
     job_ptr j;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      // During shutdown caps are ignored so the queue always drains.
-      work_cv_.wait(lock, [this] {
-        return stop_ ? true : find_eligible_locked() != queue_.end();
-      });
-      if (queue_.empty()) {
-        if (stop_) return;
-        continue;
-      }
-      auto it = stop_ ? queue_.begin() : find_eligible_locked();
-      if (it == queue_.end()) continue;
-      j = std::move(*it);
-      queue_.erase(it);
+      // At stop_ the queue still drains before the dispatcher exits.
+      work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+      if (queue_.empty()) return;
+      j = std::move(queue_.front());
+      queue_.pop_front();
       running_++;
-      running_by_kind_[static_cast<size_t>(j->req.kind)]++;
       g_queue_depth_->set(static_cast<int64_t>(queue_.size()));
       g_running_->set(static_cast<int64_t>(running_));
     }
@@ -522,13 +489,9 @@ void query_executor::dispatcher_loop() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       running_--;
-      running_by_kind_[static_cast<size_t>(j->req.kind)]--;
       g_running_->set(static_cast<int64_t>(running_));
       if (queue_.empty() && running_ == 0) idle_cv_.notify_all();
     }
-    // A kind slot freed up; a queued job previously passed over for its cap
-    // may be eligible now.
-    work_cv_.notify_one();
   }
 }
 

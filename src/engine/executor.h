@@ -28,7 +28,6 @@
 // pool would be (docs/ENGINE.md "Dispatchers run the bodies").
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -77,10 +76,6 @@ struct executor_options {
   // Queue depth at/above which low-priority submissions are shed
   // immediately with shed_error + retry_after advice. 0 disables shedding.
   size_t shed_watermark = 0;
-  // Per-kind concurrency caps, indexed by query_kind; 0 = unlimited. A
-  // queued query whose kind is at its cap is passed over (later kinds run
-  // ahead of it) until a slot frees up.
-  std::array<size_t, kNumQueryKinds> per_kind_limits{};
   // Result-cache entries; 0 disables caching.
   size_t cache_capacity = 1024;
   // Publish stats/cache/queue metrics into this registry (so one exposition
@@ -231,15 +226,13 @@ class query_executor {
               std::exception_ptr err = nullptr);
   // Per-submission sampling draw against opts_.trace_sample_rate.
   bool draw_sample();
-  // Records a finished (or refused) query into the flight recorder and —
-  // when the retention rules say so (sampled, non-ok outcome, or
-  // exec >= slow_trace_micros) — the trace store. `r` is null for non-ok
-  // outcomes. No-op when observing() is false.
+  // Fills a finished (or refused) query's one record, obs::flight_entry,
+  // and records it in the flight recorder; when the retention rules say so
+  // (sampled, non-ok outcome, or exec >= slow_trace_micros) the trace store
+  // keeps it too, with the error text and trace JSON. `r` is null for
+  // non-ok outcomes. No-op when observing() is false.
   void observe_done(const job& j, const outcome& o, double exec_micros,
                     const query_result* r);
-  // First queued job whose kind is under its concurrency cap; queue_.end()
-  // if none. Caller holds mutex_.
-  std::deque<job_ptr>::iterator find_eligible_locked();
   // The query body proper; throws on bad requests. A member (not static)
   // because the `update` kind routes through registry_.apply_updates. cc,
   // coreness and top-k are lookups into the entry's per-epoch analytics;
@@ -266,7 +259,6 @@ class query_executor {
   std::condition_variable idle_cv_;
   std::deque<job_ptr> queue_;
   size_t running_ = 0;
-  std::array<size_t, kNumQueryKinds> running_by_kind_{};
   bool stop_ = false;
   bool draining_ = false;  // admissions closed; queued work still runs
   std::vector<std::thread> dispatchers_;

@@ -8,9 +8,9 @@
 //     parses frames (net/protocol.h), and writes queued responses. Frame
 //     decode happens here — the I/O thread — and a decoded request is
 //     handed straight to the existing engine::query_executor, whose
-//     admission queue, shed watermark, per-kind caps, deadlines, and
-//     watchdog apply to network traffic exactly as they do to in-process
-//     callers. Immediate outcomes (shed, rejected, draining, per-connection
+//     admission queue, shed watermark, deadlines, and watchdog apply to
+//     network traffic exactly as they do to in-process callers.
+//     Immediate outcomes (shed, rejected, draining, per-connection
 //     in-flight cap, protocol errors) are answered from the loop; the
 //     refusals the executor never saw are still recorded in its flight
 //     recorder and trace store (query_executor::observe_refusal).

@@ -1,66 +1,34 @@
 #include "obs/flight_recorder.h"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "obs/log.h"
 
 namespace ligra::obs {
 
-std::string flight_entry::to_json() const {
+std::string flight_entry::json_members() const {
   char buf[256];
-  std::string out = "{\"seq\":";
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(seq));
-  out += buf;
-  if (id.valid()) out += ",\"id\":\"" + id.to_hex() + "\"";
+  std::snprintf(buf, sizeof(buf), "\"seq\":%llu",
+                static_cast<unsigned long long>(seq));
+  std::string out = buf;
+  out += ",\"id\":\"" + id.to_hex() + "\"";
   out += ",\"kind\":\"" + json_escape(kind) + "\"";
   out += ",\"graph\":\"" + json_escape(graph) + "\"";
   out += ",\"outcome\":\"" + json_escape(outcome) + "\"";
   std::snprintf(buf, sizeof(buf),
-                ",\"epoch\":%llu,\"queued_micros\":%.3f,\"exec_micros\":%.3f,"
-                "\"rounds\":%u,\"retry_after_ms\":%u,\"result_bytes\":%llu,"
-                "\"cache_hit\":%s}",
+                ",\"sampled\":%s,\"cache_hit\":%s,\"epoch\":%llu,"
+                "\"queued_micros\":%.3f,\"exec_micros\":%.3f,\"rounds\":%u,"
+                "\"retry_after_ms\":%u,\"result_bytes\":%llu",
+                sampled ? "true" : "false", cache_hit ? "true" : "false",
                 static_cast<unsigned long long>(epoch), queued_micros,
                 exec_micros, rounds, retry_after_ms,
-                static_cast<unsigned long long>(result_bytes),
-                cache_hit ? "true" : "false");
+                static_cast<unsigned long long>(result_bytes));
   out += buf;
   return out;
 }
 
-flight_recorder::flight_recorder(size_t capacity)
-    : slots_(capacity > 0 ? capacity : 1) {}
-
-void flight_recorder::record(flight_entry e) {
-  const uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
-  e.seq = ticket + 1;
-  slot& s = slots_[ticket % slots_.size()];
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.e = e;
-}
-
-std::vector<flight_entry> flight_recorder::snapshot() const {
-  std::vector<flight_entry> out;
-  out.reserve(slots_.size());
-  for (const slot& s : slots_) {
-    flight_entry e;
-    {
-      std::lock_guard<std::mutex> lock(s.mu);
-      e = s.e;
-    }
-    if (e.seq != 0) out.push_back(e);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const flight_entry& a, const flight_entry& b) {
-              return a.seq > b.seq;
-            });
-  return out;
-}
-
 std::string flight_recorder::to_json(size_t max_entries) const {
-  auto entries = snapshot();
-  if (max_entries > 0 && entries.size() > max_entries)
-    entries.resize(max_entries);
+  const auto entries = ring_.newest_first(max_entries);
   std::string out = "{\"entries\":[";
   for (size_t i = 0; i < entries.size(); i++) {
     if (i > 0) out += ",";

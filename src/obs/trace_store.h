@@ -3,58 +3,41 @@
 //
 // The executor inserts one trace_record per query worth keeping: every
 // sampled query, and *always* queries that ended in an error outcome or
-// ran slower than the configured threshold (executor_options). Each record
-// carries the query summary (id, kind, graph, outcome, timings, retry
-// advice for shed/rejected outcomes) plus — when the query ran with a
-// trace armed — the full per-round/per-span JSON, so "why was this request
-// slow?" is answerable after the fact via GET /traces/<id> or the REPL's
-// `trace <id>` command.
+// ran slower than the configured threshold (executor_options). A record is
+// the query's flight_entry (obs/flight_recorder.h) — the same summary the
+// flight recorder holds — plus the error message and, when the query ran
+// with a trace armed, the full per-round/per-span JSON, so "why was this
+// request slow?" is answerable after the fact via GET /traces/<id> or the
+// REPL's `trace <id>` command.
 //
-// Concurrency: the ring index is claimed with a single atomic fetch_add —
-// inserts from many dispatcher threads never contend on a shared lock —
-// and each slot guards its shared_ptr payload with a per-slot mutex held
-// only for the pointer swap/copy. Readers (find/recent, the HTTP
-// endpoints) copy records out, so a reader never blocks an inserting
-// dispatcher for longer than one pointer copy. Overwriting a still-present
-// record is an eviction, counted in engine_traces_evicted_total alongside
+// Concurrency: the store is a record_ring of shared_ptr<const
+// trace_record>, so a reader (find/recent, the HTTP endpoints) holds a
+// slot lock only for one pointer copy and never blocks an inserting
+// dispatcher for longer. Every insert past capacity evicts the record it
+// overwrites, counted in engine_traces_evicted_total alongside
 // engine_traces_retained_total.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "obs/trace.h"
+#include "obs/flight_recorder.h"
 
 namespace ligra::obs {
 
 class metrics_registry;
 class counter;
 
-// One retained query. `trace_json` is empty for summary-only records
-// (queries that were slow or failed without a trace armed).
-struct trace_record {
-  trace_id id{};
-  uint64_t seq = 0;  // insertion order, assigned by the store (1-based)
-  std::string kind;
-  std::string graph;
-  std::string outcome = "ok";  // engine::status_name (engine/status.h)
-  bool sampled = false;
-  bool cache_hit = false;
-  uint64_t epoch = 0;
-  double queued_micros = 0.0;
-  double exec_micros = 0.0;
-  uint32_t retry_after_ms = 0;  // shed/rejected advice the caller was given
-  uint64_t rounds = 0;          // edge_map rounds the armed trace captured
-  std::string error;            // message for non-ok outcomes
-  std::string trace_json;       // query_trace::to_json(); "" = summary only
+// One retained query: its entry plus what only retention keeps.
+struct trace_record : flight_entry {
+  std::string error;       // message for non-ok outcomes
+  std::string trace_json;  // query_trace::to_json(); "" = summary only
 
-  // Summary object; with `full` the armed trace's rounds/spans JSON is
-  // embedded under "trace" (null when none was armed).
+  // The entry's members and the error; with `full` the armed trace's
+  // rounds/spans JSON is embedded under "trace" (null when none was armed).
   std::string to_json(bool full) const;
 };
 
@@ -79,22 +62,15 @@ class trace_store {
   //  "capacity":N} — the GET /traces index body.
   std::string render_index_json(size_t max_records = 64) const;
 
-  size_t capacity() const { return slots_.size(); }
-  uint64_t retained() const {
-    return retained_.load(std::memory_order_relaxed);
+  size_t capacity() const { return ring_.capacity(); }
+  uint64_t retained() const { return ring_.pushed(); }
+  uint64_t evicted() const {
+    const uint64_t n = retained();
+    return n > capacity() ? n - capacity() : 0;
   }
-  uint64_t evicted() const { return evicted_.load(std::memory_order_relaxed); }
 
  private:
-  struct slot {
-    mutable std::mutex mu;
-    std::shared_ptr<const trace_record> rec;
-  };
-
-  std::vector<slot> slots_;
-  std::atomic<uint64_t> head_{0};
-  std::atomic<uint64_t> retained_{0};
-  std::atomic<uint64_t> evicted_{0};
+  record_ring<std::shared_ptr<const trace_record>> ring_;
   counter* m_retained_ = nullptr;  // engine_traces_retained_total
   counter* m_evicted_ = nullptr;   // engine_traces_evicted_total
 };

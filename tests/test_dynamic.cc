@@ -2,7 +2,7 @@
 // the base+delta store (apply semantics, functional versioning, merged
 // decode, compaction), incremental recompute equivalence against full
 // recompute on the merged graph (randomized property tests over rMat and
-// uniform graphs), the update batcher, registry epoch publishing, executor
+// uniform graphs), registry epoch publishing, executor
 // dispatch over mutable entries, and concurrent readers on an old epoch
 // while batches publish (the TSan-critical scenario).
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 #include "apps/query_adapters.h"
 #include "dynamic/incremental.h"
 #include "dynamic/mutable_graph.h"
-#include "dynamic/update_batcher.h"
 #include "engine/engine.h"
 #include "graph/generators.h"
 #include "ligra/edge_map.h"
@@ -369,87 +368,6 @@ TEST(DynamicIncremental, PropertyDeleteHeavyTrajectory) {
   // Delete-heavy batches stress the conservative reset path.
   run_trajectory(gen::random_graph(400, 3, /*seed=*/59), /*rounds=*/4,
                  /*ins=*/8, /*del=*/60, /*seed=*/61);
-}
-
-// --- update batcher --------------------------------------------------------
-
-TEST(UpdateBatcher, FlushPublishesPendingBatch) {
-  std::vector<dyn::update_batch> published;
-  dyn::update_batcher batcher(
-      [&](dyn::update_batch&& b) -> uint64_t {
-        published.push_back(std::move(b));
-        return published.size();
-      },
-      {.num_vertices = 100});
-  EXPECT_EQ(batcher.flush(), 0u);  // nothing pending
-  batcher.insert(1, 2);
-  batcher.remove(3, 4);
-  EXPECT_EQ(batcher.pending(), 2u);
-  EXPECT_EQ(batcher.flush(), 1u);
-  EXPECT_EQ(batcher.pending(), 0u);
-  EXPECT_EQ(batcher.batches_published(), 1u);
-  ASSERT_EQ(published.size(), 1u);
-  EXPECT_EQ(published[0].inserts.size(), 1u);
-  EXPECT_EQ(published[0].deletes.size(), 1u);
-}
-
-TEST(UpdateBatcher, AutoFlushesAtCap) {
-  size_t published = 0;
-  dyn::update_batcher batcher(
-      [&](dyn::update_batch&&) -> uint64_t { return ++published; },
-      {.max_batch_edges = 4, .num_vertices = 100});
-  for (vertex_id i = 0; i < 10; i++) batcher.insert(i, i + 1);
-  EXPECT_EQ(published, 2u);  // two automatic flushes at 4 edges each
-  EXPECT_EQ(batcher.pending(), 2u);
-  batcher.flush();
-  EXPECT_EQ(published, 3u);
-}
-
-TEST(UpdateBatcher, NormalizedAwayBatchIsNotPublished) {
-  size_t published = 0;
-  dyn::update_batcher batcher(
-      [&](dyn::update_batch&&) -> uint64_t { return ++published; },
-      {.num_vertices = 100});
-  batcher.insert(5, 5);  // self-loop normalizes to nothing
-  EXPECT_EQ(batcher.flush(), 0u);
-  EXPECT_EQ(published, 0u);
-}
-
-TEST(UpdateBatcher, RequiresPublishCallback) {
-  EXPECT_THROW(dyn::update_batcher(nullptr), std::invalid_argument);
-}
-
-TEST(UpdateBatcher, DestructorFlushesPendingBatch) {
-  std::vector<dyn::update_batch> published;
-  {
-    dyn::update_batcher batcher(
-        [&](dyn::update_batch&& b) -> uint64_t {
-          published.push_back(std::move(b));
-          return published.size();
-        },
-        {.num_vertices = 100});
-    batcher.insert(1, 2);
-    batcher.insert(3, 4);
-    // No explicit flush: scope exit must publish, not drop.
-  }
-  ASSERT_EQ(published.size(), 1u);
-  EXPECT_EQ(published[0].inserts.size(), 2u);
-}
-
-TEST(UpdateBatcher, DestructorSwallowsPublishFailure) {
-  // A throwing publish callback at destruction is warned about, not
-  // propagated — destructors must not throw.
-  auto boom = [](dyn::update_batch&&) -> uint64_t {
-    throw std::runtime_error("publish rejected");
-  };
-  ::testing::internal::CaptureStderr();
-  {
-    dyn::update_batcher batcher(boom, {.num_vertices = 100});
-    batcher.insert(1, 2);
-  }
-  std::string err = ::testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("dropped a pending batch"), std::string::npos);
-  EXPECT_NE(err.find("publish rejected"), std::string::npos);
 }
 
 // --- registry epochs -------------------------------------------------------

@@ -222,8 +222,20 @@ TEST(EngineExecutor, SaturatedQueueRejectsInsteadOfDeadlocking) {
   blocker blk;
   auto running = ex.submit(blk.request("social"));  // occupies the dispatcher
   blk.wait_started(1);
-  auto queued1 = ex.submit(blk.request("social"));
-  auto queued2 = ex.submit(blk.request("social"));
+  // Each queued body notes its submission position when it starts.
+  std::vector<int> start_order;
+  auto queued = [&](int pos) {
+    e::query_request q = blk.request("social");
+    auto body = std::move(q.custom);
+    q.custom = [&start_order, pos, body](const e::graph_entry& g,
+                                         const e::cancel_token& t) {
+      start_order.push_back(pos);
+      return body(g, t);
+    };
+    return q;
+  };
+  auto queued1 = ex.submit(queued(1));
+  auto queued2 = ex.submit(queued(2));
   EXPECT_EQ(ex.queue_depth(), 2u);
 
   // Queue full: the next submission is rejected immediately — no blocking.
@@ -239,6 +251,8 @@ TEST(EngineExecutor, SaturatedQueueRejectsInsteadOfDeadlocking) {
   EXPECT_EQ(running.get().value, 7);
   EXPECT_EQ(queued1.get().value, 7);
   EXPECT_EQ(queued2.get().value, 7);
+  // One dispatcher pops the queue's head: the bodies started in FIFO order.
+  EXPECT_EQ(start_order, (std::vector<int>{1, 2}));
   auto again =
       ex.submit(make_req("road", e::query_kind::sssp_distance, 0, 9)).get();
   EXPECT_TRUE(again.cache_hit);

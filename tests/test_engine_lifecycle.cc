@@ -9,7 +9,8 @@
 //     its id;
 //   - the exception it ended with matches the type rethrow(status) builds;
 //   - the status the caller saw (future or wire response) names the
-//     outcome in the flight recorder and in the trace store.
+//     outcome in the flight recorder and in the trace store, and the two
+//     records agree on every member they share.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,6 +22,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <typeindex>
 #include <vector>
 
@@ -111,6 +113,15 @@ std::type_index type_of(const std::exception_ptr& err) {
   } catch (...) {
   }
   return typeid(void);
+}
+
+// Every member /traces/<id> and /debug/flightrec both print, as one
+// comparable tuple (seq is each ring's own push order).
+auto shared_members(const obs::flight_entry& f) {
+  return std::make_tuple(std::string(f.kind), std::string(f.graph),
+                         std::string(f.outcome), f.epoch, f.queued_micros,
+                         f.exec_micros, f.rounds, f.retry_after_ms,
+                         f.result_bytes, f.cache_hit, f.sampled);
 }
 
 // Parameterized on the rng seed every draw below comes from.
@@ -301,11 +312,10 @@ TEST_P(EngineLifecycle, EveryQuerySettlesOnceWithOneOutcomeEverywhere) {
     EXPECT_EQ(k.calls.load(), k.admitted ? 1 : 0)
         << (k.admitted ? "settled more than once" : "refused, yet settled");
 
-  std::map<std::string, std::vector<std::string>> flight, kept;
-  for (const auto& f : flightrec.snapshot())
-    flight[f.id.to_hex()].push_back(f.outcome);
-  for (const auto& t : traces.recent(0))
-    kept[t.id.to_hex()].push_back(t.outcome);
+  std::map<std::string, std::vector<obs::flight_entry>> flight;
+  std::map<std::string, std::vector<obs::trace_record>> kept;
+  for (const auto& f : flightrec.snapshot()) flight[f.id.to_hex()].push_back(f);
+  for (const auto& t : traces.recent(0)) kept[t.id.to_hex()].push_back(t);
   ASSERT_LT(flightrec.recorded(), flightrec.capacity()) << "ring wrapped";
   ASSERT_EQ(traces.evicted(), 0u);
 
@@ -331,9 +341,11 @@ TEST_P(EngineLifecycle, EveryQuerySettlesOnceWithOneOutcomeEverywhere) {
     const std::string where =
         std::string(s.wire ? "wire " : "in-process ") + name + " " + id;
     ASSERT_EQ(flight[id].size(), 1u) << where;
-    EXPECT_EQ(flight[id][0], name) << where;
+    EXPECT_STREQ(flight[id][0].outcome, name.c_str()) << where;
     ASSERT_EQ(kept[id].size(), 1u) << where;
-    EXPECT_EQ(kept[id][0], name) << where;
+    // One record fed both rings: the trace store agrees on every member.
+    EXPECT_EQ(shared_members(kept[id][0]), shared_members(flight[id][0]))
+        << where;
   }
   // The interleavings actually reached the outcomes under test.
   EXPECT_GT(tally[e::query_status::ok], 0u);

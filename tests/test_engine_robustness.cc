@@ -621,39 +621,6 @@ TEST_F(RobustnessTest, DrainDeadlineBoundsTheWait) {
   ex.wait_idle();
 }
 
-TEST_F(RobustnessTest, PerKindCapLetsOtherKindsRunAhead) {
-  e::registry reg;
-  reg.add("g", small_graph());
-  e::executor_options opts;
-  opts.max_concurrency = 2;
-  opts.cache_capacity = 0;
-  opts.per_kind_limits[static_cast<size_t>(e::query_kind::custom)] = 1;
-  e::query_executor ex(reg, opts);
-
-  blocker b1, b2;
-  auto f1 = ex.submit(b1.request("g"));  // occupies the custom slot
-  while (b1.started.load() == 0) std::this_thread::sleep_for(1ms);
-  auto f2 = ex.submit(b2.request("g"));  // over the custom cap: must wait
-
-  e::query_request bfs;
-  bfs.graph = "g";
-  bfs.kind = e::query_kind::bfs_distance;
-  bfs.source = 0;
-  bfs.target = 1;
-  auto f3 = ex.submit(bfs);
-  // The BFS runs ahead of the capped custom query on the second dispatcher.
-  EXPECT_GE(f3.get().value, -1);
-  EXPECT_EQ(b2.started.load(), 0);
-
-  b1.release.set_value();
-  EXPECT_EQ(f1.get().value, 7);
-  // Slot freed: the second custom query is dispatched now.
-  while (b2.started.load() == 0) std::this_thread::sleep_for(1ms);
-  b2.release.set_value();
-  EXPECT_EQ(f2.get().value, 7);
-  ex.wait_idle();
-}
-
 // --- failpoints wired through the engine ------------------------------------
 
 TEST_F(RobustnessTest, CacheInsertFaultNeverFailsAQuery) {

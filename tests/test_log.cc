@@ -262,9 +262,9 @@ namespace {
 obs::trace_record make_record(uint64_t lo, const std::string& outcome = "ok") {
   obs::trace_record r;
   r.id = {0x11, lo};
-  r.kind = "bfs";
-  r.graph = "g";
-  r.outcome = outcome;
+  r.set_kind("bfs");
+  r.set_graph("g");
+  r.set_outcome(outcome);
   r.exec_micros = 42.0;
   return r;
 }
@@ -283,7 +283,7 @@ TEST(TraceStore, InsertFindAndRecent) {
   auto hit = store.find({0x11, 3});
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->id.lo, 3u);
-  EXPECT_EQ(hit->kind, "bfs");
+  EXPECT_STREQ(hit->kind, "bfs");
   EXPECT_GT(hit->seq, 0u);
 
   auto recent = store.recent();
@@ -316,7 +316,7 @@ TEST(TraceStore, DuplicateIdsResolveToTheNewestRecord) {
   store.insert(second);
   auto hit = store.find({0x11, 7});
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->outcome, "deadline");
+  EXPECT_STREQ(hit->outcome, "deadline");
 }
 
 TEST(TraceStore, JsonSummariesAndFullTrace) {
@@ -324,6 +324,7 @@ TEST(TraceStore, JsonSummariesAndFullTrace) {
   auto r = make_record(9, "deadline");
   r.error = "queued past deadline";
   r.retry_after_ms = 40;
+  r.result_bytes = 20;
   r.trace_json = "{\"rounds\":[],\"spans\":[]}";
   store.insert(r);
 
@@ -331,6 +332,9 @@ TEST(TraceStore, JsonSummariesAndFullTrace) {
   EXPECT_NE(summary.find(r.id.to_hex()), std::string::npos);
   EXPECT_NE(summary.find("\"outcome\":\"deadline\""), std::string::npos);
   EXPECT_NE(summary.find("\"retry_after_ms\":40"), std::string::npos);
+  EXPECT_NE(summary.find("\"result_bytes\":20"), std::string::npos);
+  EXPECT_NE(summary.find("\"error\":\"queued past deadline\""),
+            std::string::npos);
   EXPECT_EQ(summary.find("\"trace\""), std::string::npos);
 
   auto full = r.to_json(/*full=*/true);
@@ -339,6 +343,7 @@ TEST(TraceStore, JsonSummariesAndFullTrace) {
   auto index = store.render_index_json();
   EXPECT_NE(index.find("\"traces\":["), std::string::npos);
   EXPECT_NE(index.find("\"retained\":1"), std::string::npos);
+  EXPECT_NE(index.find("\"result_bytes\":20"), std::string::npos);
   EXPECT_NE(index.find("\"capacity\":8"), std::string::npos);
 }
 
@@ -355,8 +360,8 @@ TEST(TraceStore, ConcurrentInsertFindAndRecent) {
       for (int i = 0; i < kPerWriter; i++) {
         obs::trace_record r;
         r.id = {static_cast<uint64_t>(w + 1), static_cast<uint64_t>(i + 1)};
-        r.kind = "cc";
-        r.graph = "g";
+        r.set_kind("cc");
+        r.set_graph("g");
         store.insert(std::move(r));
       }
     });
@@ -419,6 +424,7 @@ TEST(FlightRecorder, ToJsonShape) {
   e.set_graph("road");
   e.set_outcome("ok");
   e.cache_hit = true;
+  e.sampled = true;
   rec.record(e);
   auto json = rec.to_json();
   EXPECT_NE(json.find("\"entries\":["), std::string::npos);
@@ -426,6 +432,7 @@ TEST(FlightRecorder, ToJsonShape) {
   EXPECT_NE(json.find("\"capacity\":8"), std::string::npos);
   EXPECT_NE(json.find(e.id.to_hex()), std::string::npos);
   EXPECT_NE(json.find("\"cache_hit\":true"), std::string::npos);
+  EXPECT_NE(json.find("\"sampled\":true"), std::string::npos);
   // max_entries caps the dump.
   obs::flight_entry e2;
   e2.id = {1, 2};
