@@ -1,9 +1,12 @@
 // Bellman-Ford single-source shortest paths (paper §4.6): frontier-based
 // relaxation on a weighted graph. Each round relaxes the out-edges of the
-// vertices whose distance improved last round; `write_min` makes the
-// relaxation atomic, and a per-round visited flag keeps the output frontier
-// duplicate-free. Handles negative edge weights; detects negative cycles
-// after n rounds.
+// vertices whose distance improved last round. A sparse round pushes
+// through edge_map: `write_min` makes the relaxation atomic, and a
+// per-round visited flag keeps the output frontier duplicate-free. A dense
+// round pulls (pull_if_dense, ligra/pull.h): each vertex takes the minimum
+// over all its in-edges from reached vertices, with no frontier test,
+// reading last round's distances and publishing its own after the round.
+// Handles negative edge weights; detects negative cycles after n rounds.
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "ligra/pull.h"
 #include "ligra/vertex_map.h"
 #include "parallel/atomics.h"
 
@@ -37,6 +38,16 @@ pagerank_result pagerank(const graph& g, const pagerank_options& opts) {
   std::vector<double> p_curr(n, one_over_n), p_next(n, 0.0), contribution(n);
   vertex_subset all = vertex_subset::all(n);
 
+  // The frontier is every vertex, so a pull needs no frontier test: v's new
+  // rank sums contribution[u] over its in-neighbours in CSR order from 0.0,
+  // the same sum edge_map's dense kernel accumulates into a zeroed p_next.
+  auto pull_rank = [&](vertex_id v) {
+    double acc = 0.0;
+    for (vertex_id u : g.in_neighbors(v)) acc += contribution[u];
+    p_next[v] = opts.damping * acc + base;
+    return false;  // no output frontier
+  };
+
   for (size_t iter = 0; iter < opts.max_iterations; iter++) {
     if (opts.poll) opts.poll();
     result.num_iterations++;
@@ -44,16 +55,18 @@ pagerank_result pagerank(const graph& g, const pagerank_options& opts) {
       size_t d = g.out_degree(static_cast<vertex_id>(v));
       contribution[v] = d == 0 ? 0.0 : p_curr[v] / static_cast<double>(d);
     });
-    edge_map_no_output(g, all, pr_f{contribution.data(), p_next.data()},
-                       opts.edge_map);
-    parallel::parallel_for(0, n, [&](size_t v) {
-      p_next[v] = opts.damping * p_next[v] + base;
-    });
+    if (!pull_if_dense(g, all, pull_rank, opts.edge_map)) {
+      parallel::parallel_for(0, n, [&](size_t v) { p_next[v] = 0.0; });
+      edge_map_no_output(g, all, pr_f{contribution.data(), p_next.data()},
+                         opts.edge_map);
+      parallel::parallel_for(0, n, [&](size_t v) {
+        p_next[v] = opts.damping * p_next[v] + base;
+      });
+    }
     result.final_residual = parallel::reduce_add(
         n, [&](size_t v) { return std::fabs(p_next[v] - p_curr[v]); });
     result.active_history.push_back(n);
     std::swap(p_curr, p_next);
-    parallel::parallel_for(0, n, [&](size_t v) { p_next[v] = 0.0; });
     if (result.final_residual < opts.tolerance) break;
   }
   result.rank = std::move(p_curr);

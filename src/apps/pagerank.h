@@ -1,9 +1,13 @@
 // PageRank (paper §4.5) in two variants:
 //
 //   * pagerank       — classic synchronous power iteration: every vertex
-//                      pulls rank mass from all in-neighbors every round
-//                      (edge_map over the full vertex set, which the hybrid
-//                      strategy always runs dense).
+//                      pulls rank mass from all in-neighbors every round.
+//                      The frontier is the full vertex set, so a round is a
+//                      plain sum over in-neighbors with no frontier test
+//                      (pull_if_dense, ligra/pull.h), in the same order, and
+//                      with the same ranks, as edge_map's dense kernel.
+//                      Forced sparse or dense_forward, or
+//                      prefer_dense_forward, runs edge_map instead.
 //   * pagerank_delta — the paper's optimized variant: only vertices whose
 //                      rank changed by more than a tolerance propagate
 //                      their *change* (delta), so the active set — and the

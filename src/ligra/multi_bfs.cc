@@ -1,15 +1,13 @@
 #include "ligra/multi_bfs.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "ligra/pull.h"
 #include "ligra/vertex_map.h"
 #include "obs/trace.h"
 #include "parallel/atomics.h"
-#include "parallel/primitives.h"
-#include "util/timer.h"
 
 namespace ligra {
 
@@ -26,8 +24,8 @@ struct multi_bfs_f {
   int64_t* last_reached;
   int64_t round;
 
-  // edge_map calls update only from its pull kernel, which the driver never
-  // reaches (pull rounds run pull_round below); delegate to keep one body.
+  // edge_map calls update only from its dense kernel, which the driver never
+  // reaches (dense rounds pull); delegate to keep one body.
   bool update(vertex_id u, vertex_id v) const { return update_atomic(u, v); }
   bool update_atomic(vertex_id u, vertex_id v) const {
     uint64_t to_write = visited[v] | visited[u];
@@ -40,42 +38,6 @@ struct multi_bfs_f {
   }
   bool cond(vertex_id) const { return true; }
 };
-
-// A dense round as a branch-free pull (the bottom-up step of MS-BFS, Then et
-// al., PVLDB 2014): v's new set is the OR of its own set and *every*
-// in-neighbour's set, with no frontier test. This is exact because after
-// round r >= 1 every edge (u, v) has visited_r[v] ⊇ visited_{r-1}[u]: a
-// frontier u was pulled directly, and a non-frontier u did not change. So a
-// non-frontier in-neighbour adds nothing, and the round's output equals
-// edge_map's. A vertex holding every source's bit (`full`) cannot grow and
-// is skipped. One task owns each 64-vertex output word, and each vertex is
-// written by its word's task alone, so no store is atomic.
-vertex_subset pull_round(const graph& g, multi_bfs_scratch& s, uint64_t full,
-                         int64_t round) {
-  const vertex_id n = g.num_vertices();
-  const uint64_t* visited = s.visited.data();
-  uint64_t* next_visited = s.next_visited.data();
-  int64_t* last_reached = s.last_reached.data();
-  std::vector<uint64_t> words(vertex_subset::num_bitmap_words(n), 0);
-  parallel::parallel_for(0, words.size(), [&](size_t wi) {
-    const size_t lo = wi * 64;
-    const size_t hi = std::min<size_t>(n, lo + 64);
-    uint64_t word = 0;
-    for (size_t v = lo; v < hi; v++) {
-      if (visited[v] == full) continue;
-      uint64_t acc = visited[v];
-      for (vertex_id u : g.in_neighbors(static_cast<vertex_id>(v)))
-        acc |= visited[u];
-      if (acc != visited[v]) {
-        next_visited[v] = acc;
-        last_reached[v] = round;
-        word |= uint64_t{1} << (v - lo);
-      }
-    }
-    words[wi] = word;
-  });
-  return vertex_subset::from_bitmap(n, std::move(words));
-}
 
 void check_sources(const std::vector<vertex_id>& sources, vertex_id n) {
   if (sources.empty() || sources.size() > 64)
@@ -95,14 +57,11 @@ void check_sources(const std::vector<vertex_id>& sources, vertex_id n) {
 
 // Shared driver: seeds one bit per source, runs rounds until the frontier
 // empties or `after_round(round, visited)` returns false, calling it with
-// the freshly-published bit sets. A round that goes dense — by the paper's
-// rule |U| + outdeg(U) > m / threshold_denominator, or because
-// traversal::dense is forced — runs pull_round; every other round runs
-// edge_map with the caller's options (sparse, dense_forward, or automatic
-// under prefer_dense_forward). The returned result's last_reached is moved
-// out of the scratch when one was provided, so scratch callers must not
-// rely on it afterwards — they get the vectors back (capacity intact) on
-// the next run.
+// the freshly-published bit sets. A dense round pulls (ligra/pull.h); every
+// other round runs edge_map with push_options of the caller's options. The
+// returned result's last_reached is moved out of the scratch when one was
+// provided, so scratch callers must not rely on it afterwards — they get the
+// vectors back (capacity intact) on the next run.
 template <typename AfterRound>
 multi_bfs_result drive(const graph& g, const std::vector<vertex_id>& sources,
                        const multi_bfs_options& opts, AfterRound after_round) {
@@ -133,48 +92,44 @@ multi_bfs_result drive(const graph& g, const std::vector<vertex_id>& sources,
   const uint64_t full = sources.size() == 64
                             ? ~uint64_t{0}
                             : (uint64_t{1} << sources.size()) - 1;
+  uint64_t* visited = s.visited.data();
+  uint64_t* next_visited = s.next_visited.data();
+  int64_t* last_reached = s.last_reached.data();
 
-  // Rounds that may pull decide here, once; those that stay sparse run
-  // edge_map forced sparse, so it cannot decide differently.
-  const edge_map_options& em = opts.edge_map;
-  const bool may_pull =
-      em.strategy == traversal::dense ||
-      (em.strategy == traversal::automatic && !em.prefer_dense_forward);
-  edge_map_options push_opts = em;
-  if (may_pull) push_opts.strategy = traversal::sparse;
-  const uint64_t threshold =
-      g.num_edges() / std::max<uint64_t>(1, em.threshold_denominator);
+  // A dense round as a branch-free pull (the bottom-up step of MS-BFS, Then
+  // et al., PVLDB 2014): v's new set is the OR of its own set and *every*
+  // in-neighbour's set. This is exact because after round r >= 1 every edge
+  // (u, v) has visited_r[v] ⊇ visited_{r-1}[u]: a frontier u was pulled
+  // directly, and a non-frontier u did not change. So a non-frontier
+  // in-neighbour adds nothing, and the round's output equals edge_map's. A
+  // vertex holding every source's bit (`full`) cannot grow and is skipped.
+  int64_t round = 0;
+  auto or_in = [&](vertex_id v) {
+    if (visited[v] == full) return false;
+    uint64_t acc = visited[v];
+    for (vertex_id u : g.in_neighbors(v)) acc |= visited[u];
+    if (acc == visited[v]) return false;
+    next_visited[v] = acc;
+    last_reached[v] = round;
+    return true;
+  };
+  const edge_map_options push = push_options(opts.edge_map);
 
   vertex_subset frontier(n, std::vector<vertex_id>(sources));
-  int64_t round = 0;
   while (!frontier.empty()) {
     if (opts.poll) opts.poll();
     round++;
-    edge_id out_degrees = 0;
-    bool pull = false;
-    if (may_pull) {
-      out_degrees = frontier.out_degree_sum(g);
-      pull = em.strategy == traversal::dense ||
-             frontier.size() + out_degrees > threshold;
-    }
     vertex_subset next;
-    if (pull) {
-      monotonic_time t0 = mono_now();
-      next = pull_round(g, s, full, round);
-      if (em.stats != nullptr)
-        *em.stats = {frontier.size(), out_degrees, traversal::dense, 0, 0};
-      if (trace != nullptr)
-        trace->add_round(traversal_name(traversal::dense), frontier.size(),
-                         out_degrees, threshold, micros_since(t0));
-    } else {
-      multi_bfs_f f{s.visited.data(), s.next_visited.data(),
-                    s.last_reached.data(), round};
-      next = edge_map(g, frontier, f, push_opts);
-    }
+    if (auto pulled = pull_if_dense(g, frontier, or_in, opts.edge_map))
+      next = std::move(*pulled);
+    else
+      next = edge_map(g, frontier,
+                      multi_bfs_f{visited, next_visited, last_reached, round},
+                      push);
     // Publish this round's unions for the next round.
-    vertex_map(next, [&](vertex_id v) { s.visited[v] = s.next_visited[v]; });
+    vertex_map(next, [&](vertex_id v) { visited[v] = next_visited[v]; });
     frontier = std::move(next);
-    if (!after_round(round, s.visited.data())) break;
+    if (!after_round(round, visited)) break;
   }
 
   if (trace != nullptr) trace->end_span(span);

@@ -19,15 +19,17 @@
 //
 // Each round decides its direction by the paper's rule (|U| + outdeg(U) >
 // m / threshold_denominator) unless a strategy is forced. A dense round
-// runs the driver's own pull: every vertex not yet holding all k source
+// pulls through the kernel PageRank and Bellman-Ford share
+// (pull_if_dense, ligra/pull.h): every vertex not yet holding all k source
 // bits ORs in the sets of *all* its in-neighbours, with no frontier test and
 // no atomics — exact because a vertex's set only grows, so a non-frontier
 // in-neighbour has nothing new to give (DESIGN.md §5.9). Sparse rounds,
 // dense_forward, and automatic under prefer_dense_forward run the standard
-// edge_map kernel with the caller's options. Every round appends one trace
-// event and fills edge_map_options::stats, pull rounds as "dense". The
-// driver polls an optional cancel hook at round boundaries and reuses
-// caller-provided working vectors across runs via multi_bfs_scratch.
+// edge_map kernel with push_options of the caller's options. Every round
+// appends one trace event and fills edge_map_options::stats, pull rounds
+// as "dense". The driver polls an optional cancel hook at round boundaries
+// and reuses caller-provided working vectors across runs via
+// multi_bfs_scratch.
 #pragma once
 
 #include <cstdint>

@@ -1,16 +1,20 @@
 // Tests for PageRank and PageRank-Delta (paper §4.5): agreement with the
 // serial baseline, rank-sum conservation, convergence behaviour, and the
 // paper's claim that Delta's active set shrinks monotonically toward
-// convergence (experiment F4's premise).
+// convergence (experiment F4's premise). PageRank's iterations pull
+// (ligra/pull.h) unless a push strategy is forced; both must agree, and a
+// traced run must record every iteration as one dense round.
 #include "apps/pagerank.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "baseline/serial.h"
 #include "graph/generators.h"
+#include "obs/trace.h"
 
 using namespace ligra;
 
@@ -104,6 +108,68 @@ TEST(Pagerank, SingleIterationMatchesClosedForm) {
   auto result = apps::pagerank(g, opts);
   EXPECT_EQ(result.num_iterations, 1u);
   for (vertex_id v = 0; v < 10; v++) EXPECT_NEAR(result.rank[v], 0.1, 1e-12);
+}
+
+TEST(Pagerank, ForcedStrategiesAgree) {
+  // Forced sparse and dense_forward push through edge_map; dense and
+  // automatic pull, and must give the same bits, since each vertex sums
+  // its in-neighbours in the same order either way.
+  for (const graph& g : {gen::rmat_graph(9, 1 << 12, 7),
+                         gen::rmat_digraph(9, 1 << 12, 8)}) {
+    auto ser = baseline::pagerank(g);
+    apps::pagerank_options opts;
+    opts.edge_map.strategy = traversal::dense;
+    auto dense = apps::pagerank(g, opts);
+    EXPECT_LT(l1_distance(dense.rank, ser), 1e-10);
+    for (traversal t : {traversal::automatic, traversal::sparse,
+                        traversal::dense_forward}) {
+      opts.edge_map.strategy = t;
+      auto result = apps::pagerank(g, opts);
+      EXPECT_LT(l1_distance(result.rank, ser), 1e-10) << traversal_name(t);
+      if (t == traversal::automatic) {
+        EXPECT_EQ(result.rank, dense.rank);
+        EXPECT_EQ(result.num_iterations, dense.num_iterations);
+      }
+    }
+  }
+}
+
+TEST(Pagerank, TracedIterationsAreDenseRounds) {
+  // Every iteration is one round over all n vertices and m edges, recorded
+  // in the trace and in edge_map_options::stats as "dense".
+  auto g = gen::rmat_digraph(9, 1 << 12, 4);
+  obs::query_trace trace;
+  edge_map_stats stats;
+  apps::pagerank_options opts;
+  opts.edge_map.stats = &stats;
+  apps::pagerank_result result;
+  {
+    obs::trace_scope scope(&trace);
+    result = apps::pagerank(g, opts);
+  }
+  auto rounds = trace.rounds();
+  ASSERT_GT(result.num_iterations, 1u);
+  ASSERT_EQ(rounds.size(), result.num_iterations);
+  for (const auto& r : rounds) {
+    EXPECT_EQ(std::string(r.direction), "dense") << "round " << r.index;
+    EXPECT_EQ(r.frontier_size, g.num_vertices());
+    EXPECT_EQ(r.frontier_edges, g.num_edges());
+  }
+  EXPECT_EQ(stats.used, traversal::dense);
+  EXPECT_EQ(stats.frontier_size, g.num_vertices());
+  EXPECT_EQ(stats.frontier_edges, g.num_edges());
+
+  // prefer_dense_forward leaves the round to edge_map's forward push.
+  opts.edge_map.prefer_dense_forward = true;
+  obs::query_trace forward;
+  {
+    obs::trace_scope scope(&forward);
+    apps::pagerank(g, opts);
+  }
+  ASSERT_FALSE(forward.rounds().empty());
+  for (const auto& r : forward.rounds())
+    EXPECT_EQ(std::string(r.direction), "dense-fwd") << "round " << r.index;
+  EXPECT_EQ(stats.used, traversal::dense_forward);
 }
 
 TEST(PagerankDelta, ActiveSetShrinks) {

@@ -1,13 +1,20 @@
 // Tests for weighted shortest paths: Bellman-Ford (paper §4.6) and the
 // Δ-stepping extension, validated against serial Dijkstra / Bellman-Ford
 // across graph families, seeds, and delta values; negative-weight and
-// negative-cycle handling.
+// negative-cycle handling. Bellman-Ford's dense rounds pull over in-edges
+// (ligra/pull.h), so every forced strategy is checked on symmetric and
+// directed inputs, with negative weights, and under a trace.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
 
 #include "apps/bellman_ford.h"
 #include "apps/delta_stepping.h"
 #include "baseline/serial.h"
 #include "graph/generators.h"
+#include "obs/trace.h"
+#include "util/rng.h"
 
 using namespace ligra;
 using apps::kInfiniteDistance;
@@ -18,6 +25,35 @@ wgraph random_weighted(int scale, uint64_t seed, int32_t lo = 1,
                        int32_t hi = 20) {
   auto g = gen::rmat_graph(scale, edge_id{8} << scale, seed);
   return gen::add_random_weights(g, lo, hi, seed * 3 + 1);
+}
+
+// A directed rMat with some negative weights and no negative cycle: weight
+// w + p(u) - p(v), for w in [1, 20] and the potential p(v) = v mod 11,
+// keeps every cycle's sum at its sum of w, which is positive, while an
+// edge into a higher-potential vertex can go negative.
+wgraph negative_weighted_digraph(int scale, uint64_t seed) {
+  auto base = gen::rmat_digraph(scale, edge_id{8} << scale, seed);
+  rng r(seed);
+  std::vector<weighted_edge> edges;
+  for (vertex_id u = 0; u < base.num_vertices(); u++)
+    for (vertex_id v : base.out_neighbors(u)) {
+      const auto w = static_cast<int32_t>(1 + r.bounded(edges.size(), 20));
+      edges.push_back({u, v,
+                       w + static_cast<int32_t>(u % 11) -
+                           static_cast<int32_t>(v % 11)});
+    }
+  return wgraph::from_edges(base.num_vertices(), edges, {});
+}
+
+constexpr traversal kAllStrategies[] = {traversal::automatic,
+                                        traversal::sparse, traversal::dense,
+                                        traversal::dense_forward};
+
+apps::bellman_ford_result run_with(const wgraph& g, vertex_id source,
+                                   traversal t) {
+  edge_map_options opts;
+  opts.strategy = t;
+  return apps::bellman_ford(g, source, opts);
 }
 
 }  // namespace
@@ -67,12 +103,16 @@ TEST(BellmanFord, HandBuiltWeightedPath) {
 }
 
 TEST(BellmanFord, UnreachableVerticesStayInfinite) {
-  std::vector<weighted_edge> edges = {{0, 1, 1}};
+  // 3's only in-edge comes from the unreachable 2 and weighs -5: a pull
+  // must not lower 3 to kInfiniteDistance - 5.
+  std::vector<weighted_edge> edges = {{0, 1, 1}, {2, 3, -5}};
   auto g = wgraph::from_edges(4, edges, {});
-  auto result = apps::bellman_ford(g, 0);
-  EXPECT_EQ(result.distances[1], 1);
-  EXPECT_EQ(result.distances[2], kInfiniteDistance);
-  EXPECT_EQ(result.distances[3], kInfiniteDistance);
+  for (traversal t : kAllStrategies) {
+    auto result = run_with(g, 0, t);
+    EXPECT_EQ(result.distances[1], 1) << traversal_name(t);
+    EXPECT_EQ(result.distances[2], kInfiniteDistance) << traversal_name(t);
+    EXPECT_EQ(result.distances[3], kInfiniteDistance) << traversal_name(t);
+  }
 }
 
 TEST(BellmanFord, NegativeEdgeNoCycle) {
@@ -88,8 +128,9 @@ TEST(BellmanFord, DetectsNegativeCycle) {
   // 0 -> 1 -> 2 -> 0 with total weight -1.
   std::vector<weighted_edge> edges = {{0, 1, 1}, {1, 2, 1}, {2, 0, -3}};
   auto g = wgraph::from_edges(3, edges, {});
-  auto result = apps::bellman_ford(g, 0);
-  EXPECT_TRUE(result.negative_cycle);
+  for (traversal t :
+       {traversal::automatic, traversal::dense, traversal::sparse})
+    EXPECT_TRUE(run_with(g, 0, t).negative_cycle) << traversal_name(t);
 }
 
 TEST(BellmanFord, ZeroWeightEdges) {
@@ -101,15 +142,64 @@ TEST(BellmanFord, ZeroWeightEdges) {
 }
 
 TEST(BellmanFord, ForcedStrategiesAgree) {
-  auto g = random_weighted(9, 13);
-  auto expect = baseline::dijkstra(g, 0);
-  for (traversal t : {traversal::sparse, traversal::dense,
-                      traversal::dense_forward}) {
-    edge_map_options opts;
-    opts.strategy = t;
-    EXPECT_EQ(apps::bellman_ford(g, 0, opts).distances, expect)
-        << traversal_name(t);
+  // rMat and the torus against Dijkstra; a directed rMat with negative
+  // weights against the serial Bellman-Ford. The torus mixes sparse and
+  // pulled rounds, and the digraph makes the pull's in-edge reads visible.
+  for (const wgraph& g :
+       {random_weighted(9, 13),
+        gen::add_random_weights(gen::grid3d_graph(12), 1, 20, 5)}) {
+    auto expect = baseline::dijkstra(g, 0);
+    for (traversal t : kAllStrategies)
+      EXPECT_EQ(run_with(g, 0, t).distances, expect) << traversal_name(t);
   }
+  auto neg = negative_weighted_digraph(10, 17);
+  const auto& w = neg.out_weight_array();
+  ASSERT_TRUE(std::any_of(w.begin(), w.end(), [](int32_t x) { return x < 0; }));
+  bool cycle = true;
+  auto expect = baseline::bellman_ford(neg, 0, &cycle);
+  ASSERT_FALSE(cycle);
+  for (traversal t : kAllStrategies) {
+    auto result = run_with(neg, 0, t);
+    EXPECT_FALSE(result.negative_cycle) << traversal_name(t);
+    EXPECT_EQ(result.distances, expect) << traversal_name(t);
+  }
+}
+
+TEST(BellmanFord, TracedRoundsFollowTheDirectionRule) {
+  // Every round appends one trace round: the pulled ones as "dense", by the
+  // paper's rule, and the rest as edge_map's sparse rounds. Stats describe
+  // the last round.
+  auto g = gen::add_random_weights(gen::grid3d_graph(16), 1, 20, 3);
+  obs::query_trace trace;
+  edge_map_stats stats;
+  edge_map_options opts;
+  opts.stats = &stats;
+  apps::bellman_ford_result result;
+  {
+    obs::trace_scope scope(&trace);
+    result = apps::bellman_ford(g, 0, opts);
+  }
+  EXPECT_EQ(result.distances, baseline::dijkstra(g, 0));
+  auto rounds = trace.rounds();
+  ASSERT_EQ(rounds.size(), result.num_rounds);
+  size_t dense = 0;
+  for (const auto& r : rounds) {
+    const std::string dir = r.direction;
+    dense += dir == "dense";
+    EXPECT_EQ(r.threshold, g.num_edges() / 20);
+    EXPECT_EQ(dir == "dense", r.frontier_size + r.frontier_edges > r.threshold)
+        << "round " << r.index;
+    EXPECT_TRUE(dir == "dense" || dir == "sparse") << dir;
+  }
+  EXPECT_GT(dense, 0u);
+  EXPECT_LT(dense, rounds.size());
+  EXPECT_EQ(stats.frontier_size, rounds.back().frontier_size);
+  EXPECT_EQ(stats.frontier_edges, rounds.back().frontier_edges);
+
+  // Forced dense pulls every round, and stats says so.
+  opts.strategy = traversal::dense;
+  EXPECT_EQ(apps::bellman_ford(g, 0, opts).distances, result.distances);
+  EXPECT_EQ(stats.used, traversal::dense);
 }
 
 TEST(BellmanFord, OutOfRangeSourceThrows) {
